@@ -9,14 +9,29 @@ parallel experiment engine uses for its shards -- on a bounded
 Correctness rests entirely on the :mod:`repro.api` replay guarantee.  A
 work item is declarative: ``(substrate, config, base_steps, n_steps)``.
 Any worker can execute it from scratch by rehydrating the simulator from
-the config, replaying ``base_steps`` and stepping ``n_steps`` more.  As
-a fast path each worker process keeps a small cache of live simulators
-(keyed by session id) and steps them *incrementally* when the cached
-instance sits exactly at ``base_steps`` -- and because replay is
-byte-identical, the cached and from-scratch paths produce identical
-results, so batching, worker count and cache hits are all invisible in
-the output.  ``workers=0`` runs the very same worker function in-process
-(no pool), which is what the determinism tests compare against.
+the config, replaying ``base_steps`` and stepping ``n_steps`` more.
+:func:`_materialise` is the one place that replay happens.  As a fast
+path it first looks in a *simulator map* -- ``session id -> (config,
+simulator, steps_taken)`` -- and steps the live instance incrementally
+when it sits exactly at ``base_steps``.  Because replay is
+byte-identical, the live and from-scratch paths produce identical
+results, so batching, worker count and map hits are all invisible in
+the output.
+
+Who owns the map decides how long a simulator lives:
+
+* **in process** (``workers=0`` under a server) the map is the server's
+  :attr:`~repro.serve.sessions.SessionTable.simulators`: a simulator
+  lives exactly as long as its session, and closing, evicting,
+  migrating out or hibernating the session drops it, so memory is
+  bounded by the table's ``max_sessions`` and ``ttl``;
+* **in pool workers**, and in a bare ``BatchDispatcher(workers=0)``,
+  the map is this module's :data:`_WORKER_CACHE`, an LRU of
+  :data:`_WORKER_CACHE_LIMIT` simulators per process that misses fall
+  back from by replay.
+
+``workers=0`` runs the very same worker function in-process (no pool),
+which is what the determinism tests compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +41,8 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import (Any, Dict, List, MutableMapping, Optional,
+                    Sequence, Tuple)
 
 from ..api.adapters import make_simulator
 from ..obs import events as obs_events
@@ -57,44 +73,70 @@ def _json_safe(value: Any) -> Any:
         return repr(value)
 
 
-#: Per-process simulator cache: session id -> (config, sim, steps_taken).
+#: A simulator map: session id -> (config, simulator, steps_taken).
+SimulatorMap = MutableMapping[str, Tuple[Any, Any, int]]
+
+
+class _LRUSimulators(OrderedDict):
+    """A simulator map holding at most ``limit`` entries; storing one
+    makes it the most recent and evicts the least recently stored."""
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+
+    def __setitem__(self, key: str, value: Tuple[Any, Any, int]) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        while len(self) > self.limit:
+            self.popitem(last=False)
+
+
+#: Per-process simulator map for pool workers and bare dispatchers.
 #: Lives at module level so pool workers retain it across batches.
-_WORKER_CACHE: "OrderedDict[str, Tuple[Any, Any, int]]" = OrderedDict()
 _WORKER_CACHE_LIMIT = 64
+_WORKER_CACHE = _LRUSimulators(_WORKER_CACHE_LIMIT)
 
 
-def _materialise(request: StepRequest) -> Any:
-    """A simulator positioned at ``base_steps``, via cache or replay."""
-    cached = _WORKER_CACHE.get(request.session_id)
+def _materialise(request: StepRequest, simulators: SimulatorMap) -> Any:
+    """A simulator positioned at ``base_steps``, taken out of
+    ``simulators`` when it holds one there, else built and replayed.
+
+    The entry is removed, not just read: a step that raises leaves no
+    half-stepped simulator behind, and :func:`run_step_batch` stores it
+    back only once the request has run.  The adapter constructors
+    already ``reset(config.seed)``, so a fresh build needs no reset.
+    """
+    cached = simulators.pop(request.session_id, None)
     if cached is not None:
         config, sim, steps = cached
         if config == request.config and steps == request.base_steps:
-            _WORKER_CACHE.move_to_end(request.session_id)
             return sim
-        del _WORKER_CACHE[request.session_id]
     sim = make_simulator(request.substrate, request.config)
-    sim.reset(int(getattr(request.config, "seed", 0)))
     for _ in range(request.base_steps):
         sim.step()
     return sim
 
 
-def run_step_batch(requests: Sequence[StepRequest]) -> List[Dict[str, Any]]:
+def run_step_batch(requests: Sequence[StepRequest],
+                   simulators: Optional[SimulatorMap] = None,
+                   ) -> List[Dict[str, Any]]:
     """Execute a batch of step requests; picklable pool entry point.
 
+    ``simulators`` is the map live simulators are taken from and stored
+    back to; ``None`` means this process's :data:`_WORKER_CACHE`.
     Returns one JSON-safe result per request, in order:
     ``{"session", "steps_taken", "metrics", "snapshot"}``.
     """
+    if simulators is None:
+        simulators = _WORKER_CACHE
     results: List[Dict[str, Any]] = []
     for request in requests:
-        sim = _materialise(request)
+        sim = _materialise(request, simulators)
         for _ in range(request.n_steps):
             sim.step()
         steps_taken = request.base_steps + request.n_steps
-        _WORKER_CACHE[request.session_id] = (request.config, sim, steps_taken)
-        _WORKER_CACHE.move_to_end(request.session_id)
-        while len(_WORKER_CACHE) > _WORKER_CACHE_LIMIT:
-            _WORKER_CACHE.popitem(last=False)
+        simulators[request.session_id] = (request.config, sim, steps_taken)
         results.append({
             "session": request.session_id,
             "steps_taken": steps_taken,
@@ -117,15 +159,22 @@ class BatchDispatcher:
         Largest number of requests handed to one worker invocation.
         Batches group by substrate first: simulator code and caches are
         substrate-local, so mixed batches would thrash the workers.
+    simulators:
+        The simulator map in-process batches use (a server passes its
+        session table's, so simulators live as long as their sessions);
+        ``None`` means the module's LRU :data:`_WORKER_CACHE`.  Pool
+        workers always use their own process's LRU.
     """
 
-    def __init__(self, *, workers: int = 0, max_batch: int = 8) -> None:
+    def __init__(self, *, workers: int = 0, max_batch: int = 8,
+                 simulators: Optional[SimulatorMap] = None) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._workers = workers
         self.max_batch = max_batch
+        self._simulators = simulators
         self._pool: ProcessPoolExecutor | None = None
         # submit() and resize() arrive from different executor threads
         # (the server's batch loop vs. its governor loop); without mutual
@@ -165,7 +214,8 @@ class BatchDispatcher:
             batches = self._plan(requests)
             results: List[Dict[str, Any]] = [None] * len(requests)  # type: ignore
             if self._workers == 0:
-                outputs = [run_step_batch([r for _, r in batch])
+                outputs = [run_step_batch([r for _, r in batch],
+                                          self._simulators)
                            for batch in batches]
             else:
                 pool = self._ensure_pool()

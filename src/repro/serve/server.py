@@ -31,7 +31,10 @@ meets here:
 * stepping work is coalesced by a single batch loop and executed through
   :class:`~repro.serve.batching.BatchDispatcher` off the event loop;
 * session state lives in :class:`~repro.serve.sessions.SessionTable`
-  (TTL eviction runs as a background task);
+  (TTL eviction runs as a background task); with ``workers=0`` the
+  table also owns each session's live simulator, which batches step
+  in place, so a session replays from ``reset`` only after
+  hibernation or migration;
 * a :class:`~repro.serve.governor.ServeGovernor` periodically senses
   queue depth, arrival rate and request latency and re-expresses pool
   size and admission settings; while degraded, ``snapshot`` serves
@@ -127,8 +130,9 @@ class SimulationServer:
         self.sessions = SessionTable(ttl=cfg.ttl,
                                      max_sessions=cfg.max_sessions,
                                      id_prefix=prefix)
-        self.dispatcher = BatchDispatcher(workers=cfg.workers,
-                                          max_batch=cfg.max_batch)
+        self.dispatcher = BatchDispatcher(
+            workers=cfg.workers, max_batch=cfg.max_batch,
+            simulators=self.sessions.simulators)
         self.admission = AdmissionController(rate=cfg.admission_rate,
                                              burst=cfg.admission_burst,
                                              max_queue=cfg.max_queue)
@@ -306,7 +310,7 @@ class SimulationServer:
         config_cls, _ = SIMULATORS[substrate]
         payload = request.get("config") or {}
         config = config_cls(**payload)  # TypeError -> bad_request above
-        session = self.sessions.create(now, substrate, config, hydrate=False)
+        session = self.sessions.create(now, substrate, config)
         if self.placements is not None:
             self.placements[session.session_id] = self.node_id
         return {"session": session.session_id, "substrate": substrate,
@@ -322,11 +326,15 @@ class SimulationServer:
         previous one left, instead of both capturing the same base and
         one update being lost.  With ``to_budget`` the step count is the
         distance to the config's budget, computed under the same lock.
-        (Migration takes the same lock, so an in-flight step commits
-        before the session's handle is exported.)
+        (Migration and close take the same lock, so an in-flight step
+        commits before the session's handle is exported or dropped; a
+        request that waited on the lock behind either finds its session
+        gone and fails instead of stepping it.)
         """
         assert self._queue is not None, "server not started"
         async with session.lock:
+            if session.session_id not in self.sessions:
+                raise UnknownSession(session.session_id)
             if to_budget:
                 budget = int(getattr(session.config, "steps", 0))
                 n_steps = max(0, budget - session.steps_taken)
@@ -390,8 +398,10 @@ class SimulationServer:
 
     async def _op_close(self, request: Dict[str, Any],
                         now: float) -> Dict[str, Any]:
+        """Drop a session, after any step already in flight commits."""
         session_id = str(request.get("session"))
-        self.sessions.close(session_id)
+        async with self.sessions.get(session_id).lock:
+            self.sessions.close(session_id)
         if self.placements is not None:
             self.placements.pop(session_id, None)
         return {"session": session_id}
@@ -567,6 +577,7 @@ class SimulationServer:
         stats = {
             "node": self.node_id,
             "sessions": len(self.sessions),
+            "live_simulators": len(self.sessions.simulators),
             "evicted": self.sessions.evicted,
             "requests_seen": self.requests_seen,
             "requests_completed": self.requests_completed,

@@ -4,13 +4,25 @@ A *session* is one client-owned simulation run.  Because every substrate
 sits behind the :mod:`repro.api` facade -- frozen ``*Config`` plus
 ``reset(seed)`` with byte-identical replay -- a session's authoritative
 state is tiny and declarative: ``(substrate, config, seed, steps_taken)``.
-The live :class:`~repro.api.protocol.Simulator` object is merely a cache
-of that state, and :class:`SessionTable` exploits it twice over:
+A live :class:`~repro.api.protocol.Simulator` object is merely a cache
+of that state.
+
+**Simulator lifetime.**  The table owns its sessions' live simulators
+in :attr:`SessionTable.simulators`, the simulator map an in-process
+server's batches step through
+(:func:`repro.serve.batching._materialise`, the one replay path, takes
+a simulator from it or rebuilds one by replay).  An entry lives exactly
+as long as its session: it is dropped with the session on ``close``,
+TTL eviction and migration out, and on its own by hibernation, so
+memory is bounded by ``max_sessions`` and ``ttl`` with no knob of its
+own.  Pool workers keep their own bounded LRU instead
+(:data:`repro.serve.batching._WORKER_CACHE`).
 
 * **TTL eviction** -- idle sessions are dropped wholesale after
-  ``ttl`` of inactivity, bounding memory under abandoning clients;
-* **hibernation** -- a session's simulator object can be discarded while
-  the handle survives; the next touch rehydrates it from the config and
+  ``ttl`` of inactivity, bounding memory under abandoning clients; a
+  session with stepping work in flight (its lock held) is not idle;
+* **hibernation** -- a session's simulator can be discarded while the
+  handle survives; the next step rebuilds it from the config and
   replays to ``steps_taken``, reproducing the exact pre-hibernation
   state (the replay guarantee doing production work).
 
@@ -27,9 +39,8 @@ import asyncio
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..api.adapters import make_simulator
 from ..obs import events as obs_events
 
 
@@ -39,7 +50,11 @@ class UnknownSession(KeyError):
 
 @dataclass
 class Session:
-    """One client simulation run: declarative core + cached live object."""
+    """One client simulation run: its declarative core.
+
+    The live simulator, if any, is held by the owning table's
+    :attr:`SessionTable.simulators`.
+    """
 
     session_id: str
     substrate: str
@@ -48,7 +63,6 @@ class Session:
     created: float
     last_used: float
     steps_taken: int = 0
-    simulator: Optional[Any] = field(default=None, repr=False)
     #: Serialises stepping work: concurrent step/run requests for the
     #: same session must observe each other's ``steps_taken`` updates,
     #: or both execute from the same base and one is silently lost.
@@ -59,8 +73,7 @@ class Session:
         """JSON-safe summary for ``stats`` responses."""
         return {"session": self.session_id, "substrate": self.substrate,
                 "steps_taken": self.steps_taken,
-                "created": self.created, "last_used": self.last_used,
-                "hydrated": self.simulator is not None}
+                "created": self.created, "last_used": self.last_used}
 
 
 class SnapshotCache:
@@ -68,7 +81,9 @@ class SnapshotCache:
 
     ``latest(session_id)`` returns the most recent cached snapshot for a
     session regardless of step -- the degraded-mode path ("serve stale
-    snapshots") -- tagged with the step it was taken at.
+    snapshots") -- tagged with the step it was taken at.  A per-session
+    index of cached steps keeps ``latest`` and ``drop_session`` from
+    scanning the whole cache; it never changes the LRU order.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -76,6 +91,7 @@ class SnapshotCache:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._cache: "OrderedDict[Tuple[str, int], Dict[str, Any]]" = OrderedDict()
+        self._steps: Dict[str, Set[int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -87,8 +103,13 @@ class SnapshotCache:
         if key in self._cache:
             self._cache.move_to_end(key)
         self._cache[key] = snapshot
+        self._steps.setdefault(session_id, set()).add(step)
         while len(self._cache) > self.max_entries:
-            self._cache.popitem(last=False)
+            (sid, old_step), _ = self._cache.popitem(last=False)
+            steps = self._steps[sid]
+            steps.discard(old_step)
+            if not steps:
+                del self._steps[sid]
 
     def get(self, session_id: str, step: int) -> Optional[Dict[str, Any]]:
         entry = self._cache.get((session_id, step))
@@ -101,19 +122,19 @@ class SnapshotCache:
 
     def latest(self, session_id: str) -> Optional[Tuple[int, Dict[str, Any]]]:
         """Most recent cached ``(step, snapshot)`` for the session, if any."""
-        best: Optional[Tuple[int, Dict[str, Any]]] = None
-        for (sid, step), snap in self._cache.items():
-            if sid == session_id and (best is None or step > best[0]):
-                best = (step, snap)
-        return best
+        steps = self._steps.get(session_id)
+        if not steps:
+            return None
+        step = max(steps)
+        return step, self._cache[(session_id, step)]
 
     def drop_session(self, session_id: str) -> None:
-        for key in [k for k in self._cache if k[0] == session_id]:
-            del self._cache[key]
+        for step in self._steps.pop(session_id, ()):
+            del self._cache[(session_id, step)]
 
 
 class SessionTable:
-    """The server's session registry: create, touch, evict, rehydrate.
+    """The server's session registry: create, touch, evict, hibernate.
 
     Parameters
     ----------
@@ -140,6 +161,10 @@ class SessionTable:
         self.id_prefix = id_prefix
         self.snapshots = SnapshotCache(snapshot_cache)
         self._sessions: Dict[str, Session] = {}
+        #: The sessions' live simulators, as a simulator map for
+        #: :func:`repro.serve.batching.run_step_batch`; an entry goes
+        #: when its session does.
+        self.simulators: Dict[str, Tuple[Any, Any, int]] = {}
         self._next_id = 1
         self.evicted = 0
 
@@ -151,9 +176,8 @@ class SessionTable:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def create(self, now: float, substrate: str, config: Any,
-               *, hydrate: bool = True) -> Session:
-        """Register a new session; optionally build its simulator eagerly."""
+    def create(self, now: float, substrate: str, config: Any) -> Session:
+        """Register a new session; its simulator is built on first step."""
         if len(self._sessions) >= self.max_sessions:
             raise RuntimeError(
                 f"session table full ({self.max_sessions} sessions)")
@@ -163,8 +187,6 @@ class SessionTable:
         session = Session(session_id=session_id, substrate=substrate,
                           config=config, seed=seed, created=now,
                           last_used=now)
-        if hydrate:
-            session.simulator = make_simulator(substrate, config)
         self._sessions[session_id] = session
         if obs_events.enabled():
             obs_events.emit("serve.session", time=now, session=session_id,
@@ -181,46 +203,41 @@ class SessionTable:
             session.last_used = now
         return session
 
+    def __contains__(self, session_id: object) -> bool:
+        return session_id in self._sessions
+
     def close(self, session_id: str) -> None:
-        """Explicitly remove a session and its cached snapshots."""
+        """Explicitly remove a session, its simulator and its snapshots."""
         if self._sessions.pop(session_id, None) is None:
             raise UnknownSession(session_id)
-        self.snapshots.drop_session(session_id)
+        self._drop(session_id)
 
     def evict_expired(self, now: float) -> List[str]:
-        """Drop every session idle for longer than ``ttl``; return its ids."""
+        """Drop every session idle for longer than ``ttl``; return its ids.
+
+        A session whose lock is held has stepping work in flight and is
+        not idle: evicting it would let that work commit to a session
+        that is gone.
+        """
         expired = [sid for sid, s in self._sessions.items()
-                   if now - s.last_used > self.ttl]
+                   if now - s.last_used > self.ttl and not s.lock.locked()]
         for sid in expired:
             del self._sessions[sid]
-            self.snapshots.drop_session(sid)
+            self._drop(sid)
             self.evicted += 1
         if expired and obs_events.enabled():
             obs_events.emit("serve.session", time=now, action="evict",
                             sessions=list(expired))
         return expired
 
-    # -- state materialisation --------------------------------------------
-
-    def simulator(self, session: Session) -> Any:
-        """The live simulator, rehydrating from the config if hibernated.
-
-        Rehydration rebuilds via :func:`~repro.api.adapters.make_simulator`
-        and replays ``steps_taken`` steps from ``reset(seed)`` -- by the
-        facade's replay guarantee this reproduces the exact state the
-        discarded instance held.
-        """
-        if session.simulator is None:
-            sim = make_simulator(session.substrate, session.config)
-            sim.reset(session.seed)
-            for _ in range(session.steps_taken):
-                sim.step()
-            session.simulator = sim
-        return session.simulator
+    def _drop(self, session_id: str) -> None:
+        self.simulators.pop(session_id, None)
+        self.snapshots.drop_session(session_id)
 
     def hibernate(self, session_id: str) -> None:
         """Drop the live simulator, keeping the declarative handle."""
-        self.get(session_id).simulator = None
+        self.get(session_id)
+        self.simulators.pop(session_id, None)
 
     # -- migration ---------------------------------------------------------
 
@@ -248,8 +265,8 @@ class SessionTable:
     def adopt(self, now: float, handle: Dict[str, Any]) -> Session:
         """Import a migrated session from an :meth:`export_handle` dict.
 
-        The session arrives hibernated (``simulator=None``); the first
-        touch rehydrates it by replay.  The originating node's id is
+        The session arrives hibernated (no live simulator); its first
+        step rehydrates it by replay.  The originating node's id is
         kept -- migration moves a session, it does not rename it.
         """
         if len(self._sessions) >= self.max_sessions:
@@ -275,24 +292,6 @@ class SessionTable:
                             substrate=substrate, action="adopt")
         return session
 
-    def snapshot(self, session: Session, *,
-                 stale_ok: bool = False) -> Tuple[Dict[str, Any], bool]:
-        """Return ``(snapshot, stale)`` for the session's current step.
-
-        With ``stale_ok`` (degraded mode) any cached snapshot is returned
-        immediately when the exact-step entry is missing, avoiding both
-        stepping and rehydration; ``stale`` marks that substitution.
-        """
-        cached = self.snapshots.get(session.session_id, session.steps_taken)
-        if cached is not None:
-            return cached, False
-        if stale_ok:
-            latest = self.snapshots.latest(session.session_id)
-            if latest is not None:
-                return latest[1], True
-        snapshot = dict(self.simulator(session).snapshot())
-        self.snapshots.put(session.session_id, session.steps_taken, snapshot)
-        return snapshot, False
-
     def describe(self) -> List[Dict[str, Any]]:
-        return [s.describe() for s in self._sessions.values()]
+        return [dict(s.describe(), hydrated=sid in self.simulators)
+                for sid, s in self._sessions.items()]

@@ -1,6 +1,7 @@
 """The uniform Simulator facade: protocol, configs, registry, replay."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -96,6 +97,21 @@ class TestDeterministicReplay:
         second = (sim.run(), sim.metrics(), sim.snapshot())
         assert first[1] == second[1]
         assert first[2] == second[2]
+
+    @pytest.mark.parametrize("substrate", sorted(SMALL))
+    def test_constructor_already_resets_to_the_config_seed(self, substrate):
+        """The serving layer builds simulators without a further
+        ``reset``: a fresh adapter must already sit at ``reset(seed)``."""
+        def stepped(sim):
+            for _ in range(5):
+                sim.step()
+            return json.dumps([sim.metrics(), sim.snapshot()],
+                              sort_keys=True, default=repr)
+
+        built = make_simulator(substrate, SMALL[substrate])
+        reset = make_simulator(substrate, SMALL[substrate])
+        reset.reset(SMALL[substrate].seed)
+        assert stepped(built) == stepped(reset)
 
     def test_different_seed_differs(self):
         sim = CloudSimulator(SMALL["cloud"])

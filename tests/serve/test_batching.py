@@ -61,6 +61,36 @@ class TestByteIdentity:
         assert warm[0]["steps_taken"] == 6
         assert cold[0]["steps_taken"] == 10
 
+    def test_worker_cache_keeps_the_most_recent_sessions(self):
+        _fresh_cache()
+        limit = batching._WORKER_CACHE_LIMIT
+        requests = _requests(limit + 2, steps=1)
+        run_step_batch(requests[:2])
+        run_step_batch(requests[2:])
+        run_step_batch(requests[:1])      # sess0 is rebuilt, sess2 goes
+        assert len(batching._WORKER_CACHE) == limit
+        assert list(batching._WORKER_CACHE)[-1] == "sess0"
+        assert "sess1" not in batching._WORKER_CACHE
+        assert "sess2" not in batching._WORKER_CACHE
+
+    def test_dispatcher_steps_through_its_own_simulator_map(self):
+        """A server hands its session table's map to the dispatcher:
+        in-process batches then take from and store to that map alone,
+        so its simulators live until the owner drops them."""
+        _fresh_cache()
+        simulators = {}
+        dispatcher = BatchDispatcher(workers=0, simulators=simulators)
+        first = dispatcher.submit(_requests(2, base=0, steps=3))
+        assert set(simulators) == {"sess0", "sess1"}
+        assert len(batching._WORKER_CACHE) == 0
+        live = simulators["sess0"][1]
+        more = dispatcher.submit(_requests(2, base=3, steps=2))
+        assert simulators["sess0"][1] is live          # stepped in place
+        assert simulators["sess0"][2] == 5
+        assert [r["steps_taken"] for r in first + more] == [3, 3, 5, 5]
+        assert _canon(more) == _canon(run_step_batch(
+            _requests(2, base=3, steps=2), {}))        # replay agrees
+
     def test_results_are_json_safe(self):
         _fresh_cache()
         for result in run_step_batch(_requests(2)):

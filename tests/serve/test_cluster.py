@@ -8,6 +8,8 @@ guarantee is the entire transport.
 
 import asyncio
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -152,6 +154,42 @@ class TestMigration:
         snapshot = run(with_cluster(body))
         assert snapshot == replay_snapshot(25, steps=25, n_channels=4, seed=4)
 
+    def test_migrate_mid_step_replays_like_a_session_that_stayed(self):
+        """Migration while a step is in flight: the step commits into the
+        handle, the source keeps no live simulator, and every later reply
+        from the destination is byte-identical to a session that never
+        moved and took the same steps."""
+        config = dict(steps=40, n_channels=4, seed=8)
+
+        async def body(cluster, client):
+            sid = (await client.create("sensornet", **config))["session"]
+            stay = (await client.create("sensornet", **config))["session"]
+            for session in (sid, stay):
+                await client.step(session, n=4)
+            src = cluster.placements[sid]
+            dst = next(n for n in cluster.node_ids if n != src)
+            stepping = asyncio.create_task(client.step(sid, n=3))
+            await asyncio.sleep(0)
+            assert cluster.servers[src].sessions.get(sid).lock.locked()
+            moved = await cluster.migrate(sid, dst)
+            assert moved["steps_taken"] == 7
+            assert (await stepping)["steps_taken"] == 7
+            assert sid not in cluster.servers[src].sessions.simulators
+            await client.step(stay, n=3)
+            replies = []
+            for session in (sid, stay):
+                replies.append([await client.step(session, n=2),
+                                await client.metrics(session),
+                                await client.snapshot(session)])
+            assert sid in cluster.servers[dst].sessions.simulators
+            return replies
+
+        moved, stayed = run(with_cluster(body, nodes=2))
+        for got, want in zip(moved, stayed):
+            for key in ("steps_taken", "metrics", "snapshot"):
+                assert json.dumps(got.get(key)) == json.dumps(want.get(key))
+        assert moved[2]["snapshot"] == replay_snapshot(9, **config)
+
     def test_migrate_with_warm_snapshot_cache(self):
         """A warm SnapshotCache entry on the source must neither leak to
         the destination nor poison the post-migration state: the new
@@ -213,6 +251,74 @@ class TestMigration:
                 await cluster.migrate(created["session"], "n99")
 
         run(with_cluster(body))
+
+
+class TestSimulatorOwnership:
+    def test_each_node_keeps_every_session_simulator_it_owns(
+            self, monkeypatch):
+        """192 sessions over two in-process nodes (3x the pool workers'
+        64-entry LRU): each session's simulator is built exactly once and
+        stepped in place from then on, neither node drops the other's,
+        and every reply matches a fresh replay byte for byte."""
+        from repro.serve import batching
+
+        builds = Counter()
+        real_make = batching.make_simulator
+
+        def counting_make(substrate, config=None, **kwargs):
+            builds[config.seed] += 1
+            return real_make(substrate, config, **kwargs)
+
+        monkeypatch.setattr(batching, "make_simulator", counting_make)
+        n_sessions = 192
+        rng = random.Random(12)
+
+        async def body(cluster, client):
+            sids, references = [], {}
+            for seed in range(n_sessions):
+                config = SensornetConfig(steps=200, n_channels=4, seed=seed)
+                created = await client.create("sensornet", steps=200,
+                                              n_channels=4, seed=seed)
+                sids.append(created["session"])
+                references[created["session"]] = make_simulator(
+                    "sensornet", config)
+
+            def expected(sid):
+                sim = references[sid]
+                return json.loads(json.dumps(
+                    {"metrics": sim.metrics(), "snapshot": sim.snapshot()}))
+
+            async def one_op(sid):
+                op = rng.choice(("step", "step", "snapshot", "metrics"))
+                if op == "step":
+                    n = rng.randint(1, 2)
+                    reply = await client.step(sid, n=n)
+                    for _ in range(n):
+                        references[sid].step()
+                else:
+                    reply = await getattr(client, op)(sid)
+                assert reply["ok"], reply
+                want = expected(sid)
+                for key in ("metrics", "snapshot"):
+                    if key in reply:
+                        assert json.dumps(reply[key]) == \
+                            json.dumps(want[key]), (sid, op, key)
+
+            for _ in range(4):
+                order = rng.sample(sids, len(sids))
+                for at in range(0, len(order), 16):
+                    await asyncio.gather(*map(one_op, order[at:at + 16]))
+
+            for node, server in cluster.servers.items():
+                owned = {sid for sid in sids
+                         if cluster.placements[sid] == node}
+                assert owned and set(server.sessions.simulators) == owned
+                stats = await cluster.client(node).stats()
+                assert stats["stats"]["live_simulators"] == len(owned)
+
+        run(with_cluster(body, nodes=2))
+        assert sorted(builds) == list(range(n_sessions))
+        assert set(builds.values()) == {1}
 
 
 class TestCollectiveCluster:

@@ -91,6 +91,33 @@ class TestOps:
         assert response["metrics"] == direct["metrics"]
         assert response["snapshot"] == direct["snapshot"]
 
+    def test_snapshot_uses_cache_then_stale_then_step(self):
+        """``snapshot`` serves the exact-step cache entry; failing that,
+        in degraded mode, the latest older entry tagged stale; otherwise
+        it steps the simulator by zero and caches what it returns."""
+        async def body(server, client):
+            created = await client.create("sensornet", steps=30,
+                                          n_channels=4, seed=1)
+            sid = created["session"]
+            first = (await client.step(sid, n=1))["snapshot"]
+            third = (await client.step(sid, n=2))["snapshot"]
+            snapshots = server.sessions.snapshots
+            hit = await client.snapshot(sid)
+            assert hit["snapshot"] == third and not hit["stale"]
+
+            snapshots.drop_session(sid)
+            snapshots.put(sid, 1, first)
+            server.serve_stale = True
+            stale = await client.snapshot(sid)
+            assert stale["stale"] and stale["snapshot"] == first
+
+            server.serve_stale = False
+            fresh = await client.snapshot(sid)
+            assert not fresh["stale"] and fresh["snapshot"] == third
+            assert snapshots.get(sid, 3) == third
+
+        run(with_server(body))
+
 
 class TestConcurrency:
     def test_concurrent_steps_on_one_session_all_land(self):
@@ -138,6 +165,70 @@ class TestConcurrency:
 
         run(with_server(body))
 
+
+class TestSimulatorLifetime:
+    """With ``workers=0`` a session's live simulator is the server's for
+    as long as the session lives, and goes when the session does."""
+
+    def test_stats_report_live_simulators(self):
+        async def body(server, client):
+            sids = [(await client.create("sensornet", steps=30,
+                                         n_channels=4, seed=i))["session"]
+                    for i in range(3)]
+
+            async def live():
+                return (await client.stats())["stats"]["live_simulators"]
+
+            assert await live() == 0          # built on first step
+            await client.step(sids[0], n=2)
+            await client.metrics(sids[1])
+            assert await live() == 2
+            await client.step(sids[0], n=2)   # stepped in place
+            assert await live() == 2
+            await client.close_session(sids[0])
+            assert await live() == 1
+            server.sessions.hibernate(sids[1])
+            assert await live() == 0
+
+        run(with_server(body))
+
+    def test_close_mid_step_leaves_no_live_simulator(self):
+        async def body(server, client):
+            created = await client.create("sensornet", steps=30,
+                                          n_channels=4, seed=2)
+            sid = created["session"]
+            await client.step(sid, n=2)
+            stepping = asyncio.create_task(client.step(sid, n=3))
+            await asyncio.sleep(0)
+            assert server.sessions.get(sid).lock.locked()  # in flight
+            closed, late = await asyncio.gather(client.close_session(sid),
+                                                client.step(sid, n=1))
+            stepped = await stepping
+            assert stepped["ok"] and stepped["steps_taken"] == 5
+            assert closed["ok"]
+            assert late["error"]["code"] == "unknown_session"
+            assert server.sessions.simulators == {}
+            assert server.sessions.snapshots.latest(sid) is None
+
+        run(with_server(body))
+
+    def test_evict_mid_step_leaves_no_live_simulator(self):
+        async def body(server, client):
+            created = await client.create("sensornet", steps=30,
+                                          n_channels=4, seed=2)
+            sid = created["session"]
+            later = server._clock() + 10 * server.sessions.ttl
+            stepping = asyncio.create_task(client.step(sid, n=3))
+            await asyncio.sleep(0)
+            assert server.sessions.get(sid).lock.locked()  # in flight
+            assert server.sessions.evict_expired(later) == []
+            assert (await stepping)["steps_taken"] == 3
+            assert sid in server.sessions.simulators
+            assert server.sessions.evict_expired(later) == [sid]
+            assert server.sessions.simulators == {}
+            assert server.sessions.snapshots.latest(sid) is None
+
+        run(with_server(body, ttl=60.0))
 
 class TestErrors:
     def test_unknown_op_unknown_substrate_bad_config(self):

@@ -1,9 +1,13 @@
 """Sessions: TTL eviction, the LRU snapshot cache, and rehydration."""
 
+import asyncio
+import json
+
 import pytest
 
 from repro.api import SensornetConfig
-from repro.serve import SessionTable, SnapshotCache, UnknownSession
+from repro.serve import (SessionTable, SnapshotCache, StepRequest,
+                         UnknownSession, run_step_batch)
 
 CONFIG = SensornetConfig(steps=60, n_channels=4, seed=3)
 
@@ -11,8 +15,8 @@ CONFIG = SensornetConfig(steps=60, n_channels=4, seed=3)
 class TestLifecycle:
     def test_ids_are_sequential_and_stable(self):
         table = SessionTable()
-        a = table.create(0.0, "sensornet", CONFIG, hydrate=False)
-        b = table.create(0.0, "sensornet", CONFIG, hydrate=False)
+        a = table.create(0.0, "sensornet", CONFIG)
+        b = table.create(0.0, "sensornet", CONFIG)
         assert (a.session_id, b.session_id) == ("s000001", "s000002")
         assert table.ids() == ["s000001", "s000002"]
 
@@ -22,7 +26,7 @@ class TestLifecycle:
 
     def test_close_removes_session_and_snapshots(self):
         table = SessionTable()
-        session = table.create(0.0, "sensornet", CONFIG, hydrate=False)
+        session = table.create(0.0, "sensornet", CONFIG)
         table.snapshots.put(session.session_id, 0, {"x": 1})
         table.close(session.session_id)
         assert len(table) == 0
@@ -32,17 +36,17 @@ class TestLifecycle:
 
     def test_max_sessions_is_a_hard_bound(self):
         table = SessionTable(max_sessions=2)
-        table.create(0.0, "sensornet", CONFIG, hydrate=False)
-        table.create(0.0, "sensornet", CONFIG, hydrate=False)
+        table.create(0.0, "sensornet", CONFIG)
+        table.create(0.0, "sensornet", CONFIG)
         with pytest.raises(RuntimeError, match="full"):
-            table.create(0.0, "sensornet", CONFIG, hydrate=False)
+            table.create(0.0, "sensornet", CONFIG)
 
 
 class TestTTLEviction:
     def test_idle_sessions_expire_active_ones_survive(self):
         table = SessionTable(ttl=10.0)
-        idle = table.create(0.0, "sensornet", CONFIG, hydrate=False)
-        busy = table.create(0.0, "sensornet", CONFIG, hydrate=False)
+        idle = table.create(0.0, "sensornet", CONFIG)
+        busy = table.create(0.0, "sensornet", CONFIG)
         table.get(busy.session_id, now=9.0)   # a touch resets the clock
         evicted = table.evict_expired(15.0)
         assert evicted == [idle.session_id]
@@ -51,13 +55,13 @@ class TestTTLEviction:
 
     def test_exactly_at_ttl_is_not_yet_expired(self):
         table = SessionTable(ttl=10.0)
-        session = table.create(0.0, "sensornet", CONFIG, hydrate=False)
+        session = table.create(0.0, "sensornet", CONFIG)
         assert table.evict_expired(10.0) == []
         assert table.evict_expired(10.0001) == [session.session_id]
 
     def test_eviction_drops_cached_snapshots_too(self):
         table = SessionTable(ttl=1.0)
-        session = table.create(0.0, "sensornet", CONFIG, hydrate=False)
+        session = table.create(0.0, "sensornet", CONFIG)
         table.snapshots.put(session.session_id, 3, {"t": 3})
         table.evict_expired(5.0)
         assert table.snapshots.latest(session.session_id) is None
@@ -89,6 +93,39 @@ class TestSnapshotCache:
         assert cache.latest("a") == (9, {"t": 9})
         assert cache.latest("nope") is None
 
+    def test_drop_session_drops_only_that_session(self):
+        cache = SnapshotCache()
+        for step in (1, 2, 3):
+            cache.put("a", step, {"a": step})
+            cache.put("b", step, {"b": step})
+        cache.drop_session("a")
+        cache.drop_session("nope")
+        assert len(cache) == 3
+        assert cache.latest("a") is None
+        assert cache.latest("b") == (3, {"b": 3})
+        assert [cache.get("b", step) for step in (1, 2, 3)] == \
+            [{"b": 1}, {"b": 2}, {"b": 3}]
+
+    def test_eviction_order_and_latest_follow_the_lru(self):
+        cache = SnapshotCache(max_entries=3)
+        cache.put("a", 1, {"s": "a1"})
+        cache.put("a", 2, {"s": "a2"})
+        cache.put("b", 1, {"s": "b1"})
+        cache.get("a", 1)              # order now: a2, b1, a1
+        cache.put("b", 2, {"s": "b2"})  # evicts a2
+        assert cache.latest("a") == (1, {"s": "a1"})
+        cache.put("a", 2, {"s": "a2"})  # evicts b1
+        cache.put("a", 2, {"s": "a2'"})  # refresh: nothing evicted
+        cache.put("c", 1, {"s": "c1"})  # evicts a1
+        assert cache.get("a", 1) is None and cache.get("b", 1) is None
+        assert cache.latest("a") == (2, {"s": "a2'"})
+        assert cache.latest("b") == (2, {"s": "b2"})
+        cache.put("c", 2, {"s": "c2"})  # evicts b2
+        cache.put("c", 3, {"s": "c3"})  # evicts a2
+        assert cache.latest("a") is None and cache.latest("b") is None
+        assert cache.latest("c") == (3, {"s": "c3"})
+        assert len(cache) == 3
+
 
 class TestRehydration:
     def test_hibernate_then_rehydrate_reproduces_exact_state(self):
@@ -97,29 +134,66 @@ class TestRehydration:
         land on a byte-identical snapshot."""
         table = SessionTable()
         session = table.create(0.0, "sensornet", CONFIG)
-        sim = table.simulator(session)
-        for _ in range(17):
-            sim.step()
+        sid = session.session_id
+
+        def step(base, n):
+            return run_step_batch(
+                [StepRequest(sid, "sensornet", CONFIG, base, n)],
+                table.simulators)[0]
+
+        before = step(0, 17)
         session.steps_taken = 17
-        before = (dict(sim.snapshot()), dict(sim.metrics()))
+        live = table.simulators[sid][1]
 
-        table.hibernate(session.session_id)
-        assert session.simulator is None
+        table.hibernate(sid)
+        assert sid not in table.simulators
 
-        rehydrated = table.simulator(session)
-        assert rehydrated is not sim
-        assert dict(rehydrated.snapshot()) == before[0]
-        assert dict(rehydrated.metrics()) == before[1]
+        after = step(17, 0)
+        assert table.simulators[sid][1] is not live
+        assert json.dumps(after) == json.dumps(before)
 
-    def test_table_snapshot_uses_cache_then_stale_then_simulator(self):
-        table = SessionTable()
-        session = table.create(0.0, "sensornet", CONFIG, hydrate=False)
-        # Miss everywhere: falls through to the simulator, then caches.
-        snap, stale = table.snapshot(session)
-        assert not stale and snap["steps_taken"] == 0
-        assert table.snapshot(session) == (snap, False)  # exact-cache hit
-        # Advance the declarative position; the exact entry is now missing
-        # but the stale path may serve the old one.
-        session.steps_taken = 5
-        old, stale = table.snapshot(session, stale_ok=True)
-        assert stale and old == snap
+
+class TestSimulatorLifetime:
+    """Live simulators belong to their session: every way a session goes
+    takes its simulator with it."""
+
+    def _stepped(self, **kwargs):
+        table = SessionTable(**kwargs)
+        session = table.create(0.0, "sensornet", CONFIG)
+        run_step_batch([StepRequest(session.session_id, "sensornet", CONFIG,
+                                    0, 2)], table.simulators)
+        session.steps_taken = 2
+        assert session.session_id in table.simulators
+        return table, session.session_id
+
+    def test_close_drops_the_simulator(self):
+        table, sid = self._stepped()
+        table.close(sid)
+        assert table.simulators == {}
+
+    def test_eviction_drops_the_simulator(self):
+        table, sid = self._stepped(ttl=1.0)
+        assert table.evict_expired(5.0) == [sid]
+        assert table.simulators == {}
+
+    def test_export_then_close_drops_the_simulator(self):
+        table, sid = self._stepped()
+        handle = table.export_handle(sid)
+        table.close(sid)
+        assert table.simulators == {}
+        other = SessionTable()
+        adopted = other.adopt(1.0, handle)
+        assert adopted.steps_taken == 2
+        assert other.simulators == {}  # arrives hibernated
+
+    def test_eviction_skips_a_session_with_work_in_flight(self):
+        table, sid = self._stepped(ttl=1.0)
+
+        async def evict_while_locked():
+            async with table.get(sid).lock:
+                return table.evict_expired(5.0)
+
+        assert asyncio.run(evict_while_locked()) == []
+        assert sid in table.simulators
+        assert table.evict_expired(5.0) == [sid]
+        assert table.simulators == {}
