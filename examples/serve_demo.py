@@ -12,7 +12,9 @@ sessions:
    when the SLO would otherwise be lost.
 
 At the end the server's own account of the episode is printed -- its
-stats block and the governor's natural-language ``explain()``.
+stats block and the governor's natural-language ``explain()``.  The
+demo exits non-zero if any reply was neither ``ok`` nor a ``shed_*``
+error.
 
 Run:  python examples/serve_demo.py
 Longer, with a telemetry trace of serve.* events:
@@ -25,10 +27,12 @@ Record a replayable repro.twin/v1 arrival trace of the episode:
 import argparse
 import asyncio
 import contextlib
+import sys
 import zlib
 
 from repro.obs import TelemetrySession
-from repro.serve import Client, SimulationServer
+from repro.serve import Client, ServerConfig, SimulationServer
+from repro.serve.protocol import error_code
 
 
 async def drive_client(name: str, host: str, port: int,
@@ -48,7 +52,7 @@ async def drive_client(name: str, host: str, port: int,
             response = await client.step(session, n=2)
             if response.get("ok"):
                 tally["ok"] += 1
-            elif str(response.get("code", "")).startswith("shed"):
+            elif (error_code(response) or "").startswith("shed_"):
                 tally["shed"] += 1
                 await asyncio.sleep(0.005)  # shed tells us to back off
             else:
@@ -62,11 +66,11 @@ async def drive_client(name: str, host: str, port: int,
 
 
 async def demo(seconds: float, clients: int, workers: int) -> dict:
-    server = SimulationServer(
+    server = SimulationServer(ServerConfig(
         port=0, workers=workers, governor="self_aware",
         min_workers=1, max_workers=4, slo_p95=0.05,
         admission_rate=400.0, admission_burst=200.0, max_queue=64.0,
-        govern_interval=max(0.25, seconds / 12.0))
+        govern_interval=max(0.25, seconds / 12.0)))
     await server.start()
     loop = asyncio.get_running_loop()
     print(f"server up on {server.host}:{server.port} "
@@ -136,7 +140,8 @@ def main(argv=None) -> int:
                                      substrate="serve")
             recorder.attach(session.bus)
         try:
-            asyncio.run(demo(args.seconds, args.clients, args.workers))
+            totals = asyncio.run(demo(args.seconds, args.clients,
+                                      args.workers))
         finally:
             if recorder is not None:
                 recorder.detach()
@@ -144,6 +149,10 @@ def main(argv=None) -> int:
                 print(f"\nrecorded {written} ticks "
                       f"({recorder.total_offered} requests, "
                       f"{recorder.total_ok} ok) -> {args.record}")
+    if totals["errors"]:
+        print(f"{totals['errors']} replies were neither ok nor shed",
+              file=sys.stderr)
+        return 1
     return 0
 
 

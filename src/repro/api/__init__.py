@@ -1,7 +1,8 @@
 """``repro.api`` -- the one façade over every substrate simulation.
 
-Use the protocol-shaped adapters instead of the per-substrate
-``run_*`` helpers (which are now deprecation shims over these):
+Every substrate runs through a protocol-shaped adapter (the
+per-substrate ``run_*`` helpers were removed in 2.0; ``DESIGN.md`` has
+the migration table):
 
 >>> from repro.api import CameraSimulator, CameraConfig
 >>> sim = CameraSimulator(CameraConfig(steps=50, seed=3))

@@ -1,8 +1,8 @@
 """Adapters: every substrate simulation behind the one Simulator protocol.
 
-Each adapter owns the substrate's canonical stepping loop (the legacy
-``run_*`` entry points are now deprecation shims that delegate here) and
-follows one contract:
+Each adapter owns the substrate's canonical stepping loop (the removed
+``run_*`` entry points map onto them through the migration table in
+``DESIGN.md``) and follows one contract:
 
 * construction takes a frozen keyword-only ``*Config`` (declarative
   path) plus optional live objects -- a controller factory, a scaler, a
@@ -149,13 +149,12 @@ class CameraSimulator:
 class CloudSimulator:
     """The autoscaled cluster behind the :class:`Simulator` protocol.
 
-    Owns the decide / scale / serve loop ``run_autoscaling`` used to
-    run, fault hooks included: ``workload_spike`` multiplies offered
-    demand, ``crash`` kills the spec's fraction of active servers when
-    its window opens (recovery pays the boot delay),
-    ``sensor_noise``/``sensor_dropout`` corrupt the telemetry the scaler
-    sees, and ``clock_skew`` shifts the scaler's -- never the
-    cluster's -- clock.
+    Owns the decide / scale / serve loop, fault hooks included:
+    ``workload_spike`` multiplies offered demand, ``crash`` kills the
+    spec's fraction of active servers when its window opens (recovery
+    pays the boot delay), ``sensor_noise``/``sensor_dropout`` corrupt
+    the telemetry the scaler sees, and ``clock_skew`` shifts the
+    scaler's -- never the cluster's -- clock.
     """
 
     def __init__(self, config: Optional[CloudConfig] = None, *,
@@ -298,9 +297,9 @@ class CloudSimulator:
 class MulticoreSimulator:
     """The multicore platform/governor pair behind the protocol.
 
-    Owns the submit / manage / step / feedback loop ``run_governor``
-    used to run, fault hooks included: ``workload_spike`` submits extra
-    arrival batches, ``clock_skew`` shifts the governor's view of time,
+    Owns the submit / manage / step / feedback loop, fault hooks
+    included: ``workload_spike`` submits extra arrival batches,
+    ``clock_skew`` shifts the governor's view of time,
     ``sensor_dropout`` loses the telemetry the governor would have
     managed and learned from this step.
     """
@@ -441,6 +440,8 @@ class CPNSimulator:
                  router_factory: Optional[Callable] = None,
                  flows: Optional[List[Any]] = None,
                  faults: Faults = None) -> None:
+        if flows is not None and not flows:
+            raise ValueError("need at least one flow")
         self.config = config if config is not None else CPNConfig()
         self._network_given = network
         self._router_given = router

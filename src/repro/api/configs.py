@@ -12,8 +12,8 @@ One ``*Config`` per substrate, all following the same conventions:
   engine untouched.  Adapters additionally accept live factories for
   the rich cases the experiments need.
 
-The mapping from each legacy entry point's kwargs to these fields is
-tabulated in ``DESIGN.md``.
+The mapping from each removed ``run_*`` entry point's kwargs to these
+fields is the migration table in ``DESIGN.md``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from typing import Optional, Tuple
 @dataclass(frozen=True, kw_only=True)
 class CameraConfig:
     """Smart-camera network run (legacy: ``CameraSimConfig`` + the
-    ``run_homogeneous``/``run_self_aware`` split, now the ``controller``
-    field)."""
+    fixed-vs-learning entry point split, now the ``controller`` field)."""
 
     rows: int = 3
     cols: int = 3
@@ -53,7 +52,7 @@ class CameraConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class CloudConfig:
-    """Autoscaled cluster run (legacy: ``run_autoscaling`` +
+    """Autoscaled cluster run (legacy: a scaler object +
     ``cluster_kwargs`` dict + ad-hoc demand closures)."""
 
     steps: int = 600
@@ -85,7 +84,7 @@ class CloudConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class MulticoreConfig:
-    """Heterogeneous multicore run (legacy: ``run_governor`` with
+    """Heterogeneous multicore run (legacy: a governor object with
     ``make_workload``/``make_platform`` kwargs)."""
 
     steps: int = 600
@@ -102,8 +101,8 @@ class MulticoreConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class CPNConfig:
-    """Cognitive packet network run (legacy: ``run_routing`` over a
-    hand-built topology/router/flows)."""
+    """Cognitive packet network run (legacy: a hand-built
+    topology/router/flows)."""
 
     steps: int = 500
     seed: int = 0
@@ -121,7 +120,7 @@ class CPNConfig:
 @dataclass(frozen=True, kw_only=True)
 class SwarmConfig:
     """Swarm coverage mission (legacy: ``SwarmMissionConfig`` +
-    ``run_mission`` with a controller object)."""
+    a controller object)."""
 
     n_robots: int = 9
     steps: int = 800
@@ -137,8 +136,8 @@ class SwarmConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class SensornetConfig:
-    """Energy-budgeted sensing run (legacy: ``run_sensing`` over a
-    hand-built field/attention pair)."""
+    """Energy-budgeted sensing run (legacy: a hand-built
+    field/attention pair)."""
 
     steps: int = 500
     seed: int = 0

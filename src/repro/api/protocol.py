@@ -1,10 +1,11 @@
 """The uniform simulator protocol every substrate adapts to.
 
-Before this facade each substrate exposed its own ad-hoc entry point
-(``run_self_aware``, ``run_autoscaling``, ``run_governor``, ...) with a
-private calling convention, which made cross-substrate machinery -- the
-fault injector, the resilience sweep, generic tooling -- impossible to
-write once.  :class:`Simulator` is the common surface:
+Before this facade each substrate exposed its own ad-hoc ``run_*``
+entry point (removed in 2.0; see the migration table in ``DESIGN.md``)
+with a private calling convention, which made cross-substrate
+machinery -- the fault injector, the resilience sweep, generic
+tooling -- impossible to write once.  :class:`Simulator` is the
+common surface:
 
 ``reset(seed)``
     (Re)build the simulation from its config for one run.  Adapters

@@ -209,8 +209,7 @@ def _sensornet_setup(fast: bool = True, n_channels: int = 8,
     return run
 
 
-def _node_setup(fast_stats: bool) -> StepRunner:
-    from ..core import knowledge
+def _node_setup() -> StepRunner:
     from ..core.levels import ladder
     from ..core.patterns import build_node
     from ..experiments.e1_levels import (ResourceAllocationEnvironment,
@@ -227,21 +226,13 @@ def _node_setup(fast_stats: bool) -> StepRunner:
 
     def run(n: int) -> None:
         nonlocal t
-        # The window-statistics toggle is module-global; pin it for the
-        # duration of this runner only so both variants can share one
-        # process.
-        prev = knowledge.USE_FAST_WINDOW_STATS
-        knowledge.set_fast_window_stats(fast_stats)
-        try:
-            for _ in range(int(n)):
-                t += 1.0
-                for entity, name, value in env.peer_reports(t):
-                    node.receive_report(entity, name, t, value)
-                result = node.step(t, list(env.candidate_actions(t)))
-                metrics = env.apply(result.decision.action, t)
-                node.feedback(metrics, utility=goal.utility(metrics))
-        finally:
-            knowledge.set_fast_window_stats(prev)
+        for _ in range(int(n)):
+            t += 1.0
+            for entity, name, value in env.peer_reports(t):
+                node.receive_report(entity, name, t, value)
+            result = node.step(t, list(env.candidate_actions(t)))
+            metrics = env.apply(result.decision.action, t)
+            node.feedback(metrics, utility=goal.utility(metrics))
 
     return run
 
@@ -595,11 +586,9 @@ KERNELS: List[KernelSpec] = [
                     "vs per-scope dict walks)"),
     KernelSpec(
         name="node.step",
-        setup=lambda: _node_setup(True),
-        baseline_setup=lambda: _node_setup(False),
+        setup=_node_setup,
         steps=300, quick_steps=60,
-        description="Core SelfAwareNode control step on the E1 task "
-                    "(memoised vs full-copy window statistics)"),
+        description="Core SelfAwareNode control step on the E1 task"),
     KernelSpec(
         name="faults.hooks",
         setup=lambda: _fault_hooks_setup(False),

@@ -7,8 +7,7 @@ drifting volunteer providers (refs [14], [15]; experiment E4).
 """
 
 from .autoscaler import (Autoscaler, OracleScaler, ReactiveScaler,
-                         SelfAwareScaler, StaticScaler, make_cloud_goal,
-                         run_autoscaling)
+                         SelfAwareScaler, StaticScaler, make_cloud_goal)
 from .cluster import ClusterMetrics, ServiceCluster
 from .composition import (CompositionResult, Heartbeat, ProviderSelector,
                           RandomSelector, SelfAwareSelector,
@@ -17,7 +16,7 @@ from .composition import (CompositionResult, Heartbeat, ProviderSelector,
 
 __all__ = [
     "Autoscaler", "OracleScaler", "ReactiveScaler", "SelfAwareScaler",
-    "StaticScaler", "make_cloud_goal", "run_autoscaling",
+    "StaticScaler", "make_cloud_goal",
     "ClusterMetrics", "ServiceCluster",
     "CompositionResult", "Heartbeat", "ProviderSelector", "RandomSelector",
     "SelfAwareSelector", "StaticRankSelector", "StimulusAwareSelector",

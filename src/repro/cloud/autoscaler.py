@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:
     from ..faults.injector import FaultInjector
@@ -255,31 +255,3 @@ def _sensed_metrics(metrics: ClusterMetrics,
         return metrics
     return replace(metrics, demand=max(0.0, demand),
                    utilisation=max(0.0, utilisation))
-
-
-def run_autoscaling(
-    scaler: Autoscaler,
-    demand_fn: Callable[[float], float],
-    goal: Goal,
-    steps: int = 600,
-    cluster_kwargs: Optional[Dict] = None,
-    faults: Optional["FaultInjector"] = None,
-) -> List[ClusterMetrics]:
-    """Drive ``scaler`` against a fresh cluster under ``demand_fn``.
-
-    Returns the per-step telemetry; the experiment layer scores it with
-    ``goal`` and the trade-off metrics.
-
-    Deprecated shim: the decide/scale/serve loop (and its fault hooks)
-    now lives in :class:`repro.api.CloudSimulator`; use that instead.
-    """
-    import warnings
-    warnings.warn(
-        "run_autoscaling is deprecated; use repro.api.CloudSimulator",
-        DeprecationWarning, stacklevel=2)
-    from ..api.adapters import CloudSimulator
-    from ..api.configs import CloudConfig
-    return CloudSimulator(CloudConfig(steps=steps), scaler=scaler,
-                          demand_fn=demand_fn, goal=goal,
-                          cluster_kwargs=cluster_kwargs or {},
-                          faults=faults).run()

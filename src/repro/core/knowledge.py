@@ -30,19 +30,6 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .spans import Scope, Span
 
-#: Default for the O(window) statistics fast path.  The original
-#: full-copy implementations are retained (toggle off, or call the
-#: ``*_naive`` names) as the reference for equivalence tests and the
-#: ``repro.bench`` baseline; both paths produce bit-identical floats
-#: because the extracted window and the summation order are unchanged.
-USE_FAST_WINDOW_STATS = True
-
-
-def set_fast_window_stats(enabled: bool) -> None:
-    """Toggle the memoised O(window) statistics path module-wide."""
-    global USE_FAST_WINDOW_STATS
-    USE_FAST_WINDOW_STATS = bool(enabled)
-
 
 @dataclass(frozen=True, slots=True)
 class Observation:
@@ -164,9 +151,7 @@ class History:
 
     def values(self, window: Optional[int] = None) -> List[float]:
         """Values of the last ``window`` observations (all when ``None``)."""
-        if USE_FAST_WINDOW_STATS:
-            return [o.value for o in self._window(window)]
-        return self.values_naive(window)
+        return [o.value for o in self._window(window)]
 
     def values_naive(self, window: Optional[int] = None) -> List[float]:
         """Reference full-copy window extraction."""
@@ -176,8 +161,6 @@ class History:
 
     def mean(self, window: Optional[int] = None) -> float:
         """Mean of the retained (or last-``window``) values; NaN when empty."""
-        if not USE_FAST_WINDOW_STATS:
-            return self.mean_naive(window)
         cached = self._cached("mean", window)
         if cached is not None:
             return cached
@@ -195,8 +178,6 @@ class History:
 
     def std(self, window: Optional[int] = None) -> float:
         """Population standard deviation of retained values; NaN when empty."""
-        if not USE_FAST_WINDOW_STATS:
-            return self.std_naive(window)
         cached = self._cached("std", window)
         if cached is not None:
             return cached
@@ -223,8 +204,6 @@ class History:
         observations share one timestamp.  The slope is the simplest form of
         "awareness of where a phenomenon is heading".
         """
-        if not USE_FAST_WINDOW_STATS:
-            return self.trend_naive(window)
         cached = self._cached("trend", window)
         if cached is not None:
             return cached

@@ -11,13 +11,13 @@ from .routing import (CPNRouter, DEFAULT_QOS, DELAY_SENSITIVE,
                       LOSS_SENSITIVE, OracleRouter, QoSClass, Router,
                       StaticRouter)
 from .sim import (Flow, PacketOutcome, RoutingResult, RoutingStepRecord,
-                  default_flows, forward_packet, run_routing)
+                  default_flows, forward_packet)
 from .topology import CPNetwork, LinkDisturbance
 
 __all__ = [
     "CPNRouter", "DEFAULT_QOS", "DELAY_SENSITIVE", "LOSS_SENSITIVE",
     "OracleRouter", "QoSClass", "Router", "StaticRouter",
     "Flow", "PacketOutcome", "RoutingResult", "RoutingStepRecord",
-    "default_flows", "forward_packet", "run_routing",
+    "default_flows", "forward_packet",
     "CPNetwork", "LinkDisturbance",
 ]

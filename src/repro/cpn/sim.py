@@ -145,9 +145,8 @@ def routing_step(network: CPNetwork, router: Router, flows: Sequence[Flow],
                  faults: Optional["FaultInjector"] = None) -> RoutingStepRecord:
     """One simulation step: smart packets, payload packets, aggregates.
 
-    Extracted from :func:`run_routing` so that ``repro.bench`` can time
-    the per-step routing kernel directly; the loop in ``run_routing``
-    calls this verbatim.
+    :class:`repro.api.CPNSimulator` steps through this, and
+    ``repro.bench`` times it directly as the per-step routing kernel.
     """
     if faults is not None:
         faults.begin_step(t)
@@ -183,33 +182,6 @@ def routing_step(network: CPNetwork, router: Router, flows: Sequence[Flow],
         time=t, sent=sent, delivered=delivered,
         mean_delay=delay_sum / delivered if delivered else math.nan,
         attack_active=network.attack_active(t))
-
-
-def run_routing(network: CPNetwork, router: Router, flows: Sequence[Flow],
-                steps: int = 500,
-                smart_packets_per_flow: int = 2,
-                faults: Optional["FaultInjector"] = None) -> RoutingResult:
-    """Drive ``flows`` through ``network`` under ``router`` for ``steps``.
-
-    For a :class:`CPNRouter`, each flow additionally emits
-    ``smart_packets_per_flow`` exploring packets per step; they refresh the
-    router's knowledge but do not count toward the QoS statistics (they
-    carry no payload).
-
-    Deprecated shim: use :class:`repro.api.CPNSimulator` instead.
-    """
-    import warnings
-    warnings.warn(
-        "run_routing is deprecated; use repro.api.CPNSimulator",
-        DeprecationWarning, stacklevel=2)
-    if not flows:
-        raise ValueError("need at least one flow")
-    from ..api.adapters import CPNSimulator
-    from ..api.configs import CPNConfig
-    return CPNSimulator(
-        CPNConfig(steps=steps, smart_packets_per_flow=smart_packets_per_flow),
-        network=network, router=router, flows=list(flows),
-        faults=faults).run()
 
 
 def default_flows(network: CPNetwork, n_flows: int = 6,

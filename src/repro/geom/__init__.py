@@ -10,9 +10,8 @@ while returning *exactly* the same candidates a full scan would accept
 optimised paths stay byte-identical to the naive references.
 """
 
-from .exact import (EXACT_REL, HAVE_NUMPY, PREFILTER_SLACK,
-                    prefilter_limit_sq)
+from .exact import EXACT_REL, PREFILTER_SLACK, prefilter_limit_sq
 from .grid import SpatialGrid
 
-__all__ = ["SpatialGrid", "EXACT_REL", "HAVE_NUMPY", "PREFILTER_SLACK",
+__all__ = ["SpatialGrid", "EXACT_REL", "PREFILTER_SLACK",
            "prefilter_limit_sq"]

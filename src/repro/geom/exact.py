@@ -12,19 +12,10 @@ Batched squared distances are used only
 
 This module holds the shared constants and helpers so each core uses
 the same bands (and the equivalence tests pin one discipline, not
-three).  The numpy gate lives here too: consumers fall back to scalar
-loops over stdlib ``array`` buffers when numpy is unavailable, keeping
-the package free of new hard dependencies.
+three).
 """
 
 from __future__ import annotations
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container always has numpy
-    _np = None
-    HAVE_NUMPY = False
 
 #: Relative inflation applied to candidate-prefilter radii so that the
 #: squared-distance comparison is a guaranteed superset of the exact

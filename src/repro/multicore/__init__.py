@@ -14,7 +14,7 @@ from .governor import (FREQ_ACTIONS, Governor, OndemandGovernor,
 from .platform import (BIG, DVFS_LEVELS, LITTLE, Core, CoreType, Platform,
                        PlatformMetrics)
 from .sim import (DEFAULT_AFFINITY, DEFAULT_CLASSES, GovernorRunResult,
-                  make_platform, make_workload, run_governor)
+                  make_platform, make_workload)
 
 __all__ = [
     "FREQ_ACTIONS", "Governor", "OndemandGovernor", "SelfAwareGovernor",
@@ -22,5 +22,5 @@ __all__ = [
     "BIG", "DVFS_LEVELS", "LITTLE", "Core", "CoreType", "Platform",
     "PlatformMetrics",
     "DEFAULT_AFFINITY", "DEFAULT_CLASSES", "GovernorRunResult",
-    "make_platform", "make_workload", "run_governor",
+    "make_platform", "make_workload",
 ]

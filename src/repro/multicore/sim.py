@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
-
-if TYPE_CHECKING:
-    from ..faults.injector import FaultInjector
+from typing import Dict, List
 
 import numpy as np
 
 from ..core.goals import Goal
 from ..envgen.workloads import TaskClass, TaskStreamWorkload
-from .governor import Governor
 from .platform import Platform, PlatformMetrics
 
 #: Default workload classes with opposing core-type affinities.  Sized so
@@ -86,29 +82,3 @@ class GovernorRunResult:
     def mean_queue(self) -> float:
         """Average ready-queue length (latency proxy)."""
         return sum(m.queue_length for m in self.history) / max(1, len(self.history))
-
-
-def run_governor(governor: Governor, steps: int = 600,
-                 workload: Optional[TaskStreamWorkload] = None,
-                 platform: Optional[Platform] = None,
-                 on_step: Optional[Callable[[float], None]] = None,
-                 faults: Optional["FaultInjector"] = None) -> GovernorRunResult:
-    """Drive ``governor`` for ``steps`` over the (default) workload.
-
-    ``on_step(t)`` runs before each step -- experiments use it to change
-    the goal at run time.
-
-    Deprecated shim: the submit/manage/step/feedback loop (and its
-    fault hooks) now lives in :class:`repro.api.MulticoreSimulator`;
-    use that instead.
-    """
-    import warnings
-    warnings.warn(
-        "run_governor is deprecated; use repro.api.MulticoreSimulator",
-        DeprecationWarning, stacklevel=2)
-    from ..api.adapters import MulticoreSimulator
-    from ..api.configs import MulticoreConfig
-    return MulticoreSimulator(MulticoreConfig(steps=steps),
-                              governor=governor, workload=workload,
-                              platform=platform, on_step=on_step,
-                              faults=faults).run()

@@ -9,12 +9,11 @@ budget and compares attention strategies.
 from .events import (DeadlineAttention, SpikeChannelSpec, SpikeField,
                      mixed_spike_specs, run_detection)
 from .field import ChannelField, ChannelSpec, mixed_channel_specs
-from .node import (SensingNode, SensingRunResult, SensingStepRecord,
-                   run_sensing)
+from .node import SensingNode, SensingRunResult, SensingStepRecord
 
 __all__ = [
     "DeadlineAttention", "SpikeChannelSpec", "SpikeField",
     "mixed_spike_specs", "run_detection",
     "ChannelField", "ChannelSpec", "mixed_channel_specs",
-    "SensingNode", "SensingRunResult", "SensingStepRecord", "run_sensing",
+    "SensingNode", "SensingRunResult", "SensingStepRecord",
 ]

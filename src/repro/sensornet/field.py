@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..envgen.processes import BoundedRandomWalk
-from ..geom.exact import HAVE_NUMPY
 
 #: Default for the batched channel stepping (see
 #: :func:`repro.sensornet.soa.step_walks_batched`).  The per-walk scalar
@@ -94,8 +93,7 @@ class ChannelField:
         # just above), which is what lets one batched draw replace the
         # per-walk scalar draws bit-identically.
         self._walks = list(self._signals.values())
-        self._fast = ((fast if fast is not None else USE_FAST_FIELD)
-                      and HAVE_NUMPY)
+        self._fast = fast if fast is not None else USE_FAST_FIELD
 
     def names(self) -> List[str]:
         """Channel names, in spec order."""

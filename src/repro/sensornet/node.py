@@ -22,7 +22,6 @@ import numpy as np
 
 from ..core.attention import AttentionPolicy, SalienceAttention
 from ..core.knowledge import KnowledgeBase
-from ..geom.exact import HAVE_NUMPY
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..core.sensors import Sensor, SensorSuite
@@ -89,7 +88,6 @@ class SensingNode:
         # subclass could override salience(), so `type is` not
         # isinstance); anything else keeps the naive path.
         self._fast = ((fast if fast is not None else USE_FAST_SENSORNET)
-                      and HAVE_NUMPY
                       and type(attention) is SalienceAttention)
         self._cols: Optional[NodeColumns] = None
         self.knowledge = KnowledgeBase()
@@ -249,19 +247,3 @@ class SensingNode:
         self.total_energy += spent
         error = cols.weighted_error()
         return self._finish_step(t, error, spent, len(chosen))
-
-
-def run_sensing(field: ChannelField, attention: AttentionPolicy,
-                budget: float, steps: int = 500,
-                rng: Optional[np.random.Generator] = None,
-                faults: Optional["FaultInjector"] = None) -> SensingRunResult:
-    """Deprecated shim: use :class:`repro.api.SensornetSimulator`."""
-    import warnings
-    warnings.warn(
-        "run_sensing is deprecated; use repro.api.SensornetSimulator",
-        DeprecationWarning, stacklevel=2)
-    from ..api.adapters import SensornetSimulator
-    from ..api.configs import SensornetConfig
-    return SensornetSimulator(SensornetConfig(steps=steps, budget=budget),
-                              field=field, attention=attention, rng=rng,
-                              faults=faults).run()

@@ -27,9 +27,8 @@ RNG draw at a time.  This module flattens both:
   :class:`~repro.core.knowledge.KnowledgeBase` so the node's visible
   state is identical to the naive path's.
 
-Backends: the walk batching needs numpy (``HAVE_NUMPY``); without it,
-and for every policy the columns don't model, callers keep the retained
-naive paths -- no new hard dependencies.
+For every attention policy the columns don't model, callers keep the
+retained naive path.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, List, Optional
 
-from ..geom.exact import _np
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import SensingNode
@@ -53,14 +52,14 @@ def step_walks_batched(walks, rng) -> None:
     are re-read every call, so run-time ``retarget`` stays visible.
     """
     k = len(walks)
-    cur = _np.fromiter((w.current for w in walks), _np.float64, count=k)
-    mean = _np.fromiter((w.mean for w in walks), _np.float64, count=k)
-    rev = _np.fromiter((w.reversion for w in walks), _np.float64, count=k)
-    sigma = _np.fromiter((w.sigma for w in walks), _np.float64, count=k)
-    lo = _np.fromiter((w.lo for w in walks), _np.float64, count=k)
-    hi = _np.fromiter((w.hi for w in walks), _np.float64, count=k)
+    cur = np.fromiter((w.current for w in walks), np.float64, count=k)
+    mean = np.fromiter((w.mean for w in walks), np.float64, count=k)
+    rev = np.fromiter((w.reversion for w in walks), np.float64, count=k)
+    sigma = np.fromiter((w.sigma for w in walks), np.float64, count=k)
+    lo = np.fromiter((w.lo for w in walks), np.float64, count=k)
+    hi = np.fromiter((w.hi for w in walks), np.float64, count=k)
     z = rng.normal(0.0, sigma)
-    new = _np.clip(cur + rev * (mean - cur) + z, lo, hi).tolist()
+    new = np.clip(cur + rev * (mean - cur) + z, lo, hi).tolist()
     for w, v in zip(walks, new):
         w.current = v
 

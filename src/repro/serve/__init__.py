@@ -14,8 +14,7 @@ Modules:
 - :mod:`~repro.serve.protocol` -- the versioned wire envelope: ``"v"``
   stamping, the :class:`~repro.serve.protocol.ErrorCode` enum,
   structured error objects, ``CapabilityError``;
-- :mod:`~repro.serve.config` -- frozen keyword-only ``ServerConfig``
-  (legacy bare-kwarg construction warns and maps);
+- :mod:`~repro.serve.config` -- frozen keyword-only ``ServerConfig``;
 - :mod:`~repro.serve.server` -- ``SimulationServer`` (JSON over asyncio
   streams) + ``Client``/``InProcessClient``;
 - :mod:`~repro.serve.sessions` -- session table, TTL eviction,

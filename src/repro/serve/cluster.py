@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -114,7 +114,9 @@ class ServeCluster:
                                      service_rate_guess=cfg.service_rate_guess,
                                      slo_p95=cfg.slo_p95)
             elif governor == "none":
+                # governor=None makes the node build config.governor.
                 gov = None
+                cfg = dataclasses.replace(cfg, governor="none")
             else:
                 raise ValueError(f"unknown cluster governor {governor!r}")
             self.servers[node_id] = SimulationServer(

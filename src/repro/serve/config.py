@@ -4,9 +4,7 @@ The live server and the cluster fabric follow the same config
 conventions as the :mod:`repro.api` substrate configs (frozen --
 a config is a shareable value; keyword-only -- call sites read as
 documentation; JSON-safe fields -- configs travel through engines and
-wire protocols untouched).  ``SimulationServer(workers=2, ...)`` style
-keyword construction still works through a deprecation shim that packs
-the kwargs into a :class:`ServerConfig` and warns.
+wire protocols untouched).
 
 (:class:`~repro.api.configs.ClusterConfig`, the *simulated* cluster's
 config, lives with the other substrate configs in ``repro.api``; this
@@ -15,16 +13,12 @@ module configures the live asyncio deployment.)
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict
 
 
 @dataclass(frozen=True, kw_only=True)
 class ServerConfig:
-    """One serving node (:class:`~repro.serve.server.SimulationServer`).
-
-    The former ``SimulationServer(**kwargs)`` surface, as a value."""
+    """One serving node (:class:`~repro.serve.server.SimulationServer`)."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -49,38 +43,3 @@ class ServerConfig:
     seed: int = 0
     #: Cluster identity; single servers keep the default.
     node_id: str = "n0"
-
-
-#: Field names accepted by the legacy keyword constructor shim.
-SERVER_CONFIG_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(ServerConfig))
-
-
-def coerce_server_config(config: Any,
-                         legacy_kwargs: Dict[str, Any]) -> ServerConfig:
-    """Resolve the (config, **legacy-kwargs) constructor surface.
-
-    Exactly one spelling may be used; mixing them would make precedence
-    ambiguous, so it is rejected.  Unknown legacy kwargs raise the same
-    ``TypeError`` a dataclass constructor would.
-    """
-    if config is not None and legacy_kwargs:
-        raise TypeError("pass either a ServerConfig or legacy keyword "
-                        "arguments, not both")
-    if config is not None:
-        if not isinstance(config, ServerConfig):
-            raise TypeError(f"config must be a ServerConfig, "
-                            f"got {type(config).__name__}")
-        return config
-    if legacy_kwargs:
-        import warnings
-        warnings.warn(
-            "constructing SimulationServer from bare keyword arguments is "
-            "deprecated; pass ServerConfig(...) instead",
-            DeprecationWarning, stacklevel=3)
-        unknown = sorted(set(legacy_kwargs) - SERVER_CONFIG_FIELDS)
-        if unknown:
-            raise TypeError(
-                f"unknown server option(s): {', '.join(unknown)}")
-        return ServerConfig(**legacy_kwargs)
-    return ServerConfig()

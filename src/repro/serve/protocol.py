@@ -12,8 +12,7 @@ single structured object drawn from one enum::
                "retryable": false}}
 
 rather than the ad-hoc ``{"code": ..., "error": "<string>"}`` pairs of
-the v0 wire.  (The top-level ``code`` mirror is kept for one version as
-a deprecated convenience; new code should read ``error.code``.)
+the v0 wire.
 
 Cluster routing speaks the same dialect: a node that does not hold a
 session answers ``moved`` with the owning node in the error object, and
@@ -82,15 +81,13 @@ def error_response(code: ErrorCode, message: str,
     """Build the structured v1 error envelope.
 
     ``extra`` fields ride inside the error object (``node`` for
-    ``moved``, ``supported`` for ``unsupported_version``...).  The
-    top-level ``code`` mirror is the deprecated v0 compatibility field.
+    ``moved``, ``supported`` for ``unsupported_version``...).
     """
     code = ErrorCode(code)
     error: Dict[str, Any] = {"code": code.value, "message": message,
                              "retryable": code in RETRYABLE}
     error.update(extra)
-    return {"ok": False, "v": PROTOCOL_VERSION, "error": error,
-            "code": code.value}
+    return {"ok": False, "v": PROTOCOL_VERSION, "error": error}
 
 
 def ok_response(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -121,15 +118,10 @@ def check_version(request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
 
 
 def error_code(response: Dict[str, Any]) -> Optional[str]:
-    """The error code of a response, if it is an error (else ``None``).
-
-    Reads the structured v1 object first, falling back to the v0
-    top-level mirror so clients can talk to either generation.
-    """
+    """The error code of a response, if it is an error (else ``None``)."""
     if response.get("ok"):
         return None
     error = response.get("error")
     if isinstance(error, dict) and "code" in error:
         return str(error["code"])
-    code = response.get("code")
-    return str(code) if code is not None else None
+    return None

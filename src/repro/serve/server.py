@@ -14,8 +14,7 @@ and response carries the protocol version ``"v"``
 
 Failures are structured: ``{"ok": false, "v": 1, "error": {"code",
 "message", "retryable", ...}}`` with codes from the single
-:class:`~repro.serve.protocol.ErrorCode` enum (a deprecated top-level
-``code`` mirror keeps v0 readers alive).  Requests carrying an
+:class:`~repro.serve.protocol.ErrorCode` enum.  Requests carrying an
 unsupported ``v`` are answered with ``unsupported_version`` and never
 reach a handler.
 
@@ -44,9 +43,8 @@ meets here:
   are refused with a retryable ``moved`` error naming the owner, and
   migration moves sessions between nodes via their declarative handles.
 
-Configuration is a frozen :class:`~repro.serve.config.ServerConfig`;
-the former bare-keyword constructor still works through a deprecation
-shim.  For tests and embedding, :class:`InProcessClient` speaks the
+Configuration is a frozen :class:`~repro.serve.config.ServerConfig`.
+For tests and embedding, :class:`InProcessClient` speaks the
 same protocol straight into :meth:`SimulationServer.dispatch` without a
 socket.
 """
@@ -65,7 +63,7 @@ from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from .admission import ADMIT, AdmissionController
 from .batching import BatchDispatcher, StepRequest
-from .config import ServerConfig, coerce_server_config
+from .config import ServerConfig
 from .gossip import GossipBoard
 from .governor import ServeGovernor, StaticGovernor
 from .protocol import (PROTOCOL_VERSION, CapabilityError, ErrorCode,
@@ -93,33 +91,30 @@ class SimulationServer:
     Parameters
     ----------
     config:
-        A :class:`~repro.serve.config.ServerConfig`.  Bare keyword
-        arguments (``SimulationServer(workers=2)``) still work through
-        a deprecation shim.  The legacy ``governor`` keyword also
-        accepts a prebuilt governor object (anything with ``tick`` /
-        ``explain``), which the cluster fabric uses to inject
-        :class:`~repro.serve.governor.CollectiveGovernor` instances.
-    ring, placements, board:
-        Cluster wiring (all-or-nothing, injected by
+        A :class:`~repro.serve.config.ServerConfig` (defaults when
+        ``None``).
+    ring, placements, board, governor:
+        Cluster wiring (injected by
         :class:`~repro.serve.cluster.ServeCluster`): the shared
         consistent-hash ring, the authoritative session->node placement
-        map, and the gossip board.  Single servers leave them ``None``.
+        map, the gossip board, and a prebuilt governor (anything with
+        ``tick`` / ``explain``, such as a
+        :class:`~repro.serve.governor.CollectiveGovernor`) that replaces
+        the one ``config.governor`` names.  Single servers leave them
+        ``None``.
     """
 
     def __init__(self, config: Optional[ServerConfig] = None, *,
                  ring: Optional[HashRing] = None,
                  placements: Optional[Dict[str, str]] = None,
                  board: Optional[GossipBoard] = None,
-                 **legacy_kwargs: Any) -> None:
-        governor_override = False
-        prebuilt_governor: Optional[Any] = None
-        if "governor" in legacy_kwargs and not isinstance(
-                legacy_kwargs["governor"], str):
-            # A prebuilt governor object (or explicit None) is wiring,
-            # not configuration: it bypasses the deprecation shim.
-            prebuilt_governor = legacy_kwargs.pop("governor")
-            governor_override = True
-        self.config = cfg = coerce_server_config(config, legacy_kwargs)
+                 governor: Optional[Any] = None) -> None:
+        if config is None:
+            config = ServerConfig()
+        elif not isinstance(config, ServerConfig):
+            raise TypeError(f"config must be a ServerConfig, "
+                            f"got {type(config).__name__}")
+        self.config = cfg = config
         self.host = cfg.host
         self.port = cfg.port
         self.node_id = cfg.node_id
@@ -138,8 +133,8 @@ class SimulationServer:
                                              max_queue=cfg.max_queue)
         self.govern_interval = cfg.govern_interval
         self.serve_stale = False
-        if governor_override:
-            self.governor: Optional[Any] = prebuilt_governor
+        if governor is not None:
+            self.governor: Optional[Any] = governor
         elif cfg.governor == "self_aware":
             self.governor = ServeGovernor(
                 slo_p95=cfg.slo_p95, min_workers=cfg.min_workers,

@@ -16,7 +16,7 @@ from .market import AuctionOutcome, Bid, HandoverMarket
 from .network import Camera, CameraNetwork
 from .objects import MovingObject, ObjectPopulation
 from .sim import (CameraSimConfig, CameraSimResult, CameraSimulation,
-                  CameraStepRecord, run_homogeneous, run_self_aware)
+                  CameraStepRecord)
 from .strategies import (ALL_STRATEGIES, Strategy, advertisement_targets,
                          should_auction)
 
@@ -27,6 +27,6 @@ __all__ = [
     "Camera", "CameraNetwork",
     "MovingObject", "ObjectPopulation",
     "CameraSimConfig", "CameraSimResult", "CameraSimulation",
-    "CameraStepRecord", "run_homogeneous", "run_self_aware",
+    "CameraStepRecord",
     "ALL_STRATEGIES", "Strategy", "advertisement_targets", "should_auction",
 ]

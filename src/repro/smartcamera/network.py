@@ -17,7 +17,6 @@ import networkx as nx
 import numpy as np
 
 from ..geom import SpatialGrid
-from ..geom.exact import HAVE_NUMPY
 from .objects import MovingObject
 from .soa import best_observer_row_scalar, seeing_ids_scalar
 
@@ -111,8 +110,7 @@ class CameraNetwork:
             for cam in cameras:
                 self._grid.insert_disc(cam.cam_id, cam.x, cam.y, cam.radius)
             self._grid.finalise()
-        self._fast = ((fast if fast is not None else USE_FAST_SCANS)
-                      and HAVE_NUMPY)
+        self._fast = fast if fast is not None else USE_FAST_SCANS
         self._columns = None  # built lazily on first fast query
 
     @property

@@ -31,11 +31,9 @@ if TYPE_CHECKING:
 
 import numpy as np
 
-from ..geom.exact import HAVE_NUMPY
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
-from .controller import (CameraController, FixedStrategyController,
-                         SelfAwareStrategyController, strategy_entropy)
+from .controller import CameraController, strategy_entropy
 from .market import Bid, HandoverMarket
 from .network import CameraNetwork
 from .objects import ObjectPopulation
@@ -175,8 +173,7 @@ class CameraSimulation:
     ) -> None:
         self.config = config
         self.faults = faults
-        self._fast = ((fast if fast is not None else USE_FAST_CAMERA)
-                      and HAVE_NUMPY)
+        self._fast = fast if fast is not None else USE_FAST_CAMERA
         self._rng = np.random.default_rng(config.seed)
         if config.random_placement:
             self.network = CameraNetwork.random(
@@ -520,34 +517,3 @@ class CameraSimulation:
                                controllers=list(self.controllers.values()),
                                market=self.market,
                                comm_cost_weight=self.config.comm_cost_weight)
-
-
-def run_homogeneous(config: CameraSimConfig, strategy: Strategy) -> CameraSimResult:
-    """Deprecated shim: use :class:`repro.api.CameraSimulator`."""
-    import warnings
-    warnings.warn(
-        "run_homogeneous is deprecated; use repro.api.CameraSimulator "
-        "with CameraConfig(controller='fixed', strategy=...)",
-        DeprecationWarning, stacklevel=2)
-    from ..api.adapters import CameraSimulator
-    return CameraSimulator(
-        sim_config=config,
-        controller_factory=lambda cid, rng: FixedStrategyController(
-            cid, strategy),
-    ).run()
-
-
-def run_self_aware(config: CameraSimConfig, epsilon: float = 0.1,
-                   discount: float = 0.995) -> CameraSimResult:
-    """Deprecated shim: use :class:`repro.api.CameraSimulator`."""
-    import warnings
-    warnings.warn(
-        "run_self_aware is deprecated; use repro.api.CameraSimulator "
-        "with CameraConfig(controller='self_aware')",
-        DeprecationWarning, stacklevel=2)
-    from ..api.adapters import CameraSimulator
-    return CameraSimulator(
-        sim_config=config,
-        controller_factory=lambda cid, rng: SelfAwareStrategyController(
-            cid, epsilon=epsilon, discount=discount, rng=rng),
-    ).run()

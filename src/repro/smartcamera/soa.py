@@ -26,10 +26,7 @@ as a handful of array operations:
 Byte-identity discipline (see :mod:`repro.geom.exact`): batched
 distances only prefilter and bracket; every float that escapes into
 records, rewards or auction prices is produced by the same
-``math.hypot`` expression the naive path evaluates.  When numpy is
-unavailable the fast paths simply stay off (``HAVE_NUMPY`` is false and
-the dispatchers keep the retained naive path), so the package gains no
-hard dependency.
+``math.hypot`` expression the naive path evaluates.
 """
 
 from __future__ import annotations
@@ -37,7 +34,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..geom.exact import EXACT_REL, HAVE_NUMPY, _np
+import numpy as np
+
+from ..geom.exact import EXACT_REL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import CameraNetwork
@@ -75,20 +74,17 @@ class CameraColumns:
                  "_cell_row_lists", "_empty_rows")
 
     def __init__(self, network: "CameraNetwork") -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - numpy ships with the repo
-            raise RuntimeError("CameraColumns requires numpy; the naive "
-                               "path is the no-numpy fallback")
         self.network = network
         ids = network.ids()
         cams = [network.cameras[cid] for cid in ids]
         self.n = len(cams)
-        self.ids = _np.asarray(ids, dtype=_np.int64)
-        self.xs = _np.fromiter((c.x for c in cams), dtype=_np.float64,
-                               count=self.n)
-        self.ys = _np.fromiter((c.y for c in cams), dtype=_np.float64,
-                               count=self.n)
-        self.radii = _np.fromiter((c.radius for c in cams),
-                                  dtype=_np.float64, count=self.n)
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.xs = np.fromiter((c.x for c in cams), dtype=np.float64,
+                              count=self.n)
+        self.ys = np.fromiter((c.y for c in cams), dtype=np.float64,
+                              count=self.n)
+        self.radii = np.fromiter((c.radius for c in cams),
+                                 dtype=np.float64, count=self.n)
         r_sq = self.radii * self.radii
         # Certainly-inside / certainly-outside thresholds on the batched
         # squared distance; between them sits the rim band that the
@@ -105,20 +101,20 @@ class CameraColumns:
                                        for row, cid in enumerate(ids)}
         # Advertisement target rows per owner row, precomputed in the
         # ascending-id order advertisement_targets() produces.
-        all_rows = _np.arange(self.n, dtype=_np.intp)
+        all_rows = np.arange(self.n, dtype=np.intp)
         self.broadcast_rows: List = [
-            _np.delete(all_rows, row) for row in range(self.n)]
+            np.delete(all_rows, row) for row in range(self.n)]
         self.neighbour_rows: List = [
-            _np.asarray([self.row_of[nid]
-                         for nid in network.neighbours(cid)],
-                        dtype=_np.intp)
+            np.asarray([self.row_of[nid]
+                        for nid in network.neighbours(cid)],
+                       dtype=np.intp)
             for cid in ids]
         # Row-indexed membership masks for the vision-graph
         # neighbourhoods (the graph has no self-loops, so a row's own
         # mask entry is always false).
         self.neighbour_masks: List = []
         for rows in self.neighbour_rows:
-            mask = _np.zeros(self.n, dtype=bool)
+            mask = np.zeros(self.n, dtype=bool)
             mask[rows] = True
             self.neighbour_masks.append(mask)
         # Cell -> candidate rows, mirroring SpatialGrid.insert_disc's
@@ -137,13 +133,13 @@ class CameraColumns:
             for ix in range(x0, x1 + 1):
                 for iy in range(y0, y1 + 1):
                     buckets.setdefault((ix, iy), []).append(row)
-        self._cell_rows = {cell: _np.asarray(rows, dtype=_np.intp)
+        self._cell_rows = {cell: np.asarray(rows, dtype=np.intp)
                            for cell, rows in buckets.items()}
         # Plain-list twins for the scalar scans: per-query numpy costs
         # more than it saves below a few dozen candidates, and the
         # standalone network queries live exactly there.
         self._cell_row_lists = buckets
-        self._empty_rows = _np.empty(0, dtype=_np.intp)
+        self._empty_rows = np.empty(0, dtype=np.intp)
 
     def rows_at(self, x: float, y: float):
         """Candidate rows whose disc could cover ``(x, y)``, ascending."""
@@ -170,10 +166,10 @@ class ObjectColumns:
         """Re-read every object's position after the mobility step."""
         objs = population.objects
         m = len(objs)
-        self.xs = _np.fromiter((o.x for o in objs), dtype=_np.float64,
-                               count=m)
-        self.ys = _np.fromiter((o.y for o in objs), dtype=_np.float64,
-                               count=m)
+        self.xs = np.fromiter((o.x for o in objs), dtype=np.float64,
+                              count=m)
+        self.ys = np.fromiter((o.y for o in objs), dtype=np.float64,
+                              count=m)
         self.object_ids = [o.object_id for o in objs]
 
 
@@ -231,11 +227,11 @@ def best_observer_row(cols: CameraColumns, x: float, y: float) -> int:
     has_rim = bool(rim.any())
     if inside.any():
         in_rows = rows[inside]
-        vis = 1.0 - _np.sqrt(d2[inside]) / cols.radii[in_rows]
+        vis = 1.0 - np.sqrt(d2[inside]) / cols.radii[in_rows]
         m = float(vis.max())
         check = in_rows[vis >= m - BEST_VIS_BAND]
         if has_rim and m <= RIM_VIS_BOUND:
-            check = _np.sort(_np.concatenate([check, rows[rim]]))
+            check = np.sort(np.concatenate([check, rows[rim]]))
     elif has_rim:
         check = rows[rim]
     else:

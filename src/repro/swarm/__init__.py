@@ -12,7 +12,7 @@ from .arena import Arena, Event, Hotspot
 from .robots import (RandomPatrol, Robot, SelfAwareSwarm, StaticFormation,
                      SwarmController, make_swarm)
 from .sim import (SwarmMission, SwarmMissionConfig, SwarmRunResult,
-                  SwarmStepRecord, run_mission)
+                  SwarmStepRecord)
 from .soa import EventTable, IndexMemory, RobotArrays
 
 __all__ = [
@@ -21,5 +21,5 @@ __all__ = [
     "RandomPatrol", "Robot", "SelfAwareSwarm", "StaticFormation",
     "SwarmController", "make_swarm",
     "SwarmMission", "SwarmMissionConfig", "SwarmRunResult",
-    "SwarmStepRecord", "run_mission",
+    "SwarmStepRecord",
 ]

@@ -30,10 +30,10 @@ from . import soa
 from .arena import Event
 
 #: Default for :class:`SelfAwareSwarm`'s ``fast`` parameter: run on the
-#: struct-of-arrays memory (vectorised when numpy is importable).  The
-#: naive object-graph reference path is retained under ``fast=False``
-#: as the byte-identity baseline; CI's ``perf-equivalence`` job flips
-#: this flag to prove the experiment tables match under both defaults.
+#: vectorised struct-of-arrays memory.  The naive object-graph reference
+#: path is retained under ``fast=False`` as the byte-identity baseline;
+#: CI's ``perf-equivalence`` job flips this flag to prove the experiment
+#: tables match under both defaults.
 USE_FAST_SWARM = True
 
 
@@ -172,26 +172,18 @@ class SelfAwareSwarm(SwarmController):
         is retained under ``fast=False`` for the equivalence tests and
         the ``repro.bench`` baselines; both produce identical robot
         trajectories and memories.
-    vectorized:
-        Within the fast path, use numpy batch kernels (default: numpy
-        availability).  ``vectorized=False`` forces the pure-python
-        scalar loops over the same flat buffers -- the zero-dependency
-        fallback, equally byte-identical.
     """
 
     def __init__(self, comm_radius: float = 0.35, memory: int = 120,
                  min_separation: float = 0.2,
                  rng: Optional[np.random.Generator] = None,
-                 fast: Optional[bool] = None,
-                 vectorized: Optional[bool] = None) -> None:
+                 fast: Optional[bool] = None) -> None:
         if memory < 1:
             raise ValueError("memory must be at least 1")
         self.comm_radius = comm_radius
         self.memory = memory
         self.min_separation = min_separation
         self.fast = USE_FAST_SWARM if fast is None else fast
-        self.vectorized = (soa.HAVE_NUMPY if vectorized is None
-                           else bool(vectorized) and soa.HAVE_NUMPY)
         self._rng = rng if rng is not None else np.random.default_rng()
         # Naive-path memory: per robot, lists of Event objects.
         self._events: Dict[int, List[Event]] = {}
@@ -252,7 +244,6 @@ class SelfAwareSwarm(SwarmController):
         superset of every exact hit for the whole step, in (robot,
         ascending-peer) order -- the order the reference scan visits.
         """
-        np_ = soa._np
         smax = max(r.speed for r in alive)
         limit = soa.prefilter_limit_sq(self.min_separation + 2.0 * smax)
         dx = px[:, None] - px[None, :]
@@ -260,9 +251,9 @@ class SelfAwareSwarm(SwarmController):
         dx *= dx
         dy *= dy
         dx += dy
-        rows, cols = np_.nonzero(dx <= limit)
+        rows, cols = np.nonzero(dx <= limit)
         cols_list = cols.tolist()
-        starts = np_.searchsorted(rows, np_.arange(len(alive) + 1)).tolist()
+        starts = np.searchsorted(rows, np.arange(len(alive) + 1)).tolist()
         return [cols_list[starts[i]:starts[i + 1]]
                 for i in range(len(alive))]
 
@@ -371,22 +362,17 @@ class SelfAwareSwarm(SwarmController):
                         robots: Sequence[Robot], arrays) -> List[int]:
         """Live peers within gossip range of ``witness`` (robots order)."""
         comm = self.comm_radius
-        if self.vectorized:
-            dx = arrays.x - witness.x
-            dy = arrays.y - witness.y
-            d2 = dx * dx + dy * dy
-            candidates = soa._np.nonzero(
-                d2 <= soa.prefilter_limit_sq(comm))[0]
-            peers = []
-            for i in candidates.tolist():
-                peer = robots[i]
-                if (peer.alive and peer.robot_id != robot_id
-                        and witness.distance_to(peer.x, peer.y) <= comm):
-                    peers.append(peer.robot_id)
-            return peers
-        return [peer.robot_id for peer in robots
-                if (peer.alive and peer.robot_id != robot_id
-                    and witness.distance_to(peer.x, peer.y) <= comm)]
+        dx = arrays.x - witness.x
+        dy = arrays.y - witness.y
+        d2 = dx * dx + dy * dy
+        candidates = np.nonzero(d2 <= soa.prefilter_limit_sq(comm))[0]
+        peers = []
+        for i in candidates.tolist():
+            peer = robots[i]
+            if (peer.alive and peer.robot_id != robot_id
+                    and witness.distance_to(peer.x, peer.y) <= comm):
+                peers.append(peer.robot_id)
+        return peers
 
     def _share_soa(self, robots: Sequence[Robot],
                    witnessed: Sequence[Tuple[int, Event]], arrays) -> None:
@@ -433,64 +419,11 @@ class SelfAwareSwarm(SwarmController):
         if lo - table.base > 4096:
             table.trim(lo)
 
-    def _attribute_and_move_scalar(self, alive: Sequence[Robot],
-                                   band: float) -> None:
-        """Fallback attribution: scalar loops over the flat buffers.
-
-        Identical bracket logic to the vector path (and to the retired
-        object-graph implementation): per event we memoise the two
-        smallest distances over the start-of-loop snapshot positions;
-        the smallest snapshot distance among this robot's peers -- the
-        runner-up when the robot is itself the minimiser -- brackets
-        the live peer minimum to within ``band``.  Outside the band the
-        decision is certain; inside it (a genuine near-tie) we fall
-        back to the exact scan over current positions.
-        """
-        table = self._table
-        hypot = math.hypot
-        snapshot = [(r.x, r.y) for r in alive]
-        nearest: Dict[int, Tuple[float, int, float]] = {}
-        for index, robot in enumerate(alive):
-            memory = self._mem.get(robot.robot_id)
-            n_mine = 0
-            sum_x = sum_y = 0.0
-            if memory is not None and memory:
-                rx, ry = robot.x, robot.y
-                for ei in memory.indices():
-                    ex = table.x_at(ei)
-                    ey = table.y_at(ei)
-                    d_self = hypot(rx - ex, ry - ey)
-                    memo = nearest.get(ei)
-                    if memo is None:
-                        best1 = best2 = math.inf
-                        idx1 = -1
-                        for i, (sx_, sy_) in enumerate(snapshot):
-                            d = hypot(sx_ - ex, sy_ - ey)
-                            if d < best1:
-                                best2 = best1
-                                best1 = d
-                                idx1 = i
-                            elif d < best2:
-                                best2 = d
-                        memo = (best1, idx1, best2)
-                        nearest[ei] = memo
-                    best1, idx1, best2 = memo
-                    peer_min0 = best2 if idx1 == index else best1
-                    if d_self > peer_min0 + band:
-                        continue
-                    if not d_self < peer_min0 - band:
-                        if self._exact_peer_closer(robot, alive, ex, ey):
-                            continue
-                    n_mine += 1
-                    sum_x += ex
-                    sum_y += ey
-            self._move_one(robot, index, alive, n_mine, sum_x, sum_y)
-
     def _attribute_and_move_exact(self, alive: Sequence[Robot]) -> None:
         """Attribution by the exact scalar predicate, entry by entry.
 
-        Used when robot ids collide (the peer-exclusion shortcuts in
-        the batched paths identify *self* positionally, which is only
+        Used when robot ids collide (the peer-exclusion shortcut in
+        the batched path identifies *self* positionally, which is only
         sound when ids are unique, as ``make_swarm`` guarantees).
         """
         table = self._table
@@ -525,7 +458,6 @@ class SelfAwareSwarm(SwarmController):
         back to the exact scalar predicate.  The accepted entries and
         their order therefore match the naive scan bit-for-bit.
         """
-        np_ = soa._np
         table = self._table
         n = len(alive)
         views = []
@@ -540,8 +472,8 @@ class SelfAwareSwarm(SwarmController):
             else:
                 view = soa.EMPTY_INDICES
             views.append(view)
-        px = np_.fromiter((r.x for r in alive), np_.float64, n)
-        py = np_.fromiter((r.y for r in alive), np_.float64, n)
+        px = np.fromiter((r.x for r in alive), np.float64, n)
+        py = np.fromiter((r.y for r in alive), np.float64, n)
         sep_candidates = self._separation_candidates(alive, px, py)
         m = table.size - lo
         total = sum(len(v) for v in views)
@@ -555,8 +487,8 @@ class SelfAwareSwarm(SwarmController):
             d2 = dx                      # (n, m) start-of-step squared dists
             # suffix[i] = min over rows >= i; peers after robot i are
             # suffix[i + 1] (none for the last robot).
-            suffix = np_.minimum.accumulate(d2[::-1], axis=0)[::-1]
-            moved_min = np_.full(m, np_.inf)
+            suffix = np.minimum.accumulate(d2[::-1], axis=0)[::-1]
+            moved_min = np.full(m, np.inf)
             rel_lo = 1.0 - soa.EXACT_REL
             rel_hi = 1.0 + soa.EXACT_REL
         for index, robot in enumerate(alive):
@@ -567,14 +499,14 @@ class SelfAwareSwarm(SwarmController):
                 idx = view - lo
                 d2_self = d2[index, idx]
                 if index + 1 < n:
-                    peer_min = np_.minimum(suffix[index + 1, idx],
+                    peer_min = np.minimum(suffix[index + 1, idx],
                                            moved_min[idx])
                 else:
                     peer_min = moved_min[idx]
                 take = peer_min > d2_self * rel_hi
                 tie = ~take & (peer_min >= d2_self * rel_lo)
                 if tie.any():
-                    for j in np_.nonzero(tie)[0]:
+                    for j in np.nonzero(tie)[0]:
                         k = int(idx[j])
                         if not self._exact_peer_closer(
                                 robot, alive, float(exs[k]), float(eys[k])):
@@ -594,7 +526,7 @@ class SelfAwareSwarm(SwarmController):
                 rdx *= rdx
                 rdy *= rdy
                 rdx += rdy
-                np_.minimum(moved_min, rdx, out=moved_min)
+                np.minimum(moved_min, rdx, out=moved_min)
 
     def _step_soa(self, now: float, robots: Sequence[Robot],
                   witnessed: Sequence[Tuple[int, Event]]) -> None:
@@ -607,13 +539,8 @@ class SelfAwareSwarm(SwarmController):
             return
         if len({r.robot_id for r in alive}) != len(alive):
             self._attribute_and_move_exact(alive)
-        elif self.vectorized:
-            self._attribute_and_move_vector(alive)
         else:
-            # Upper bound on any robot's displacement within this step,
-            # inflated to absorb float rounding in move_toward.
-            band = max(r.speed for r in alive) * 1.01 + 1e-12
-            self._attribute_and_move_scalar(alive, band)
+            self._attribute_and_move_vector(alive)
 
     def step(self, now: float, robots: Sequence[Robot],
              witnessed: Sequence[Tuple[int, Event]]) -> None:

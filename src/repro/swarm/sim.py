@@ -112,8 +112,9 @@ def _witnessed_grid(robots: List[Robot],
 class SwarmMission:
     """One configured mission, steppable from outside.
 
-    ``run_mission`` drives it to completion; ``repro.bench`` steps it
-    one tick at a time to measure the per-step kernel cost.
+    :class:`repro.api.SwarmSimulator` drives it to completion;
+    ``repro.bench`` steps it one tick at a time to measure the per-step
+    kernel cost.
     """
 
     def __init__(self, controller: SwarmController,
@@ -180,17 +181,3 @@ class SwarmMission:
                                  alive=alive)
         self.records.append(record)
         return record
-
-
-def run_mission(controller: SwarmController,
-                config: SwarmMissionConfig,
-                use_grid: Optional[bool] = None,
-                faults: Optional["FaultInjector"] = None) -> SwarmRunResult:
-    """Deprecated shim: use :class:`repro.api.SwarmSimulator`."""
-    import warnings
-    warnings.warn(
-        "run_mission is deprecated; use repro.api.SwarmSimulator",
-        DeprecationWarning, stacklevel=2)
-    from ..api.adapters import SwarmSimulator
-    return SwarmSimulator(mission_config=config, controller=controller,
-                          use_grid=use_grid, faults=faults).run()

@@ -16,14 +16,6 @@ Voronoi attribution) can run as a handful of array operations:
 - :class:`RobotArrays` -- per-step position / radius / liveness columns
   refreshed from the ``Robot`` objects (which remain the mutable API
   surface for controllers, fault hooks and tests).
-- :func:`nearest_two` -- the attribution memo: per event, the two
-  smallest snapshot distances and the first minimiser, in one batched
-  computation.
-
-Backends: numpy when importable, else the stdlib ``array`` module --
-the package keeps zero hard dependencies beyond what the repo already
-ships, and every consumer falls back to scalar loops over the same
-flat buffers when ``HAVE_NUMPY`` is false.
 
 Byte-identity discipline: array math never *decides* anything on its
 own.  Batched distances are used only (a) inside tolerance brackets
@@ -36,19 +28,19 @@ downstream float operation match the naive reference paths exactly.
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
-# The tolerance bands and the numpy gate are shared by every SoA core
-# (swarm, smart-camera, sensornet); re-exported here because this module
-# defined them first and downstream code imports them from both places.
-from ..geom.exact import (EXACT_REL, HAVE_NUMPY,  # noqa: F401
-                          PREFILTER_SLACK, prefilter_limit_sq)
-from ..geom.exact import _np
+import numpy as np
+
+# The tolerance bands are shared by every SoA core (swarm, smart-camera,
+# sensornet); re-exported here because this module defined them first
+# and downstream code imports them from both places.
+from ..geom.exact import (EXACT_REL, PREFILTER_SLACK,  # noqa: F401
+                          prefilter_limit_sq)
 from .arena import Event
 
 #: Shared empty index window, matching :meth:`IndexMemory.view`'s dtype.
-EMPTY_INDICES = _np.empty(0, dtype=_np.intp) if HAVE_NUMPY else array("q")
+EMPTY_INDICES = np.empty(0, dtype=np.intp)
 
 
 class EventTable:
@@ -64,14 +56,9 @@ class EventTable:
     def __init__(self) -> None:
         self.size = 0          # next global index
         self._base = 0         # global index of physical row 0
-        if HAVE_NUMPY:
-            self._times = _np.empty(256, dtype=_np.float64)
-            self._xs = _np.empty(256, dtype=_np.float64)
-            self._ys = _np.empty(256, dtype=_np.float64)
-        else:
-            self._times = array("d")
-            self._xs = array("d")
-            self._ys = array("d")
+        self._times = np.empty(256, dtype=np.float64)
+        self._xs = np.empty(256, dtype=np.float64)
+        self._ys = np.empty(256, dtype=np.float64)
 
     def __len__(self) -> int:
         return self.size
@@ -85,21 +72,16 @@ class EventTable:
         """Append one event; returns its global index."""
         index = self.size
         row = index - self._base
-        if HAVE_NUMPY:
-            if row >= len(self._times):
-                grow = max(256, 2 * len(self._times))
-                for name in ("_times", "_xs", "_ys"):
-                    old = getattr(self, name)
-                    new = _np.empty(grow, dtype=_np.float64)
-                    new[:row] = old[:row]
-                    setattr(self, name, new)
-            self._times[row] = time
-            self._xs[row] = x
-            self._ys[row] = y
-        else:
-            self._times.append(time)
-            self._xs.append(x)
-            self._ys.append(y)
+        if row >= len(self._times):
+            grow = max(256, 2 * len(self._times))
+            for name in ("_times", "_xs", "_ys"):
+                old = getattr(self, name)
+                new = np.empty(grow, dtype=np.float64)
+                new[:row] = old[:row]
+                setattr(self, name, new)
+        self._times[row] = time
+        self._xs[row] = x
+        self._ys[row] = y
         self.size = index + 1
         return index
 
@@ -124,24 +106,9 @@ class EventTable:
                      y=float(self._ys[row]))
 
     def columns(self, lo: int, hi: int):
-        """``(xs, ys)`` for global rows ``[lo, hi)`` -- zero-copy numpy
-        views, or ``array`` slices under the fallback backend."""
+        """``(xs, ys)`` for global rows ``[lo, hi)`` as zero-copy views."""
         a, b = lo - self._base, hi - self._base
         return self._xs[a:b], self._ys[a:b]
-
-    def xs_list(self, indices) -> List[float]:
-        """Gather x coordinates for ``indices`` as Python floats."""
-        if HAVE_NUMPY:
-            return self._xs[_np.asarray(indices) - self._base].tolist()
-        base = self._base
-        return [float(self._xs[i - base]) for i in indices]
-
-    def ys_list(self, indices) -> List[float]:
-        """Gather y coordinates for ``indices`` as Python floats."""
-        if HAVE_NUMPY:
-            return self._ys[_np.asarray(indices) - self._base].tolist()
-        base = self._base
-        return [float(self._ys[i - base]) for i in indices]
 
     def trim(self, lo: int) -> None:
         """Drop physical storage for rows below ``lo`` (global indices
@@ -151,14 +118,9 @@ class EventTable:
         lo = min(lo, self.size)
         keep = self.size - lo
         shift = lo - self._base
-        if HAVE_NUMPY:
-            for name in ("_times", "_xs", "_ys"):
-                buf = getattr(self, name)
-                buf[:keep] = buf[shift:shift + keep]
-        else:
-            del self._times[:shift]
-            del self._xs[:shift]
-            del self._ys[:shift]
+        for name in ("_times", "_xs", "_ys"):
+            buf = getattr(self, name)
+            buf[:keep] = buf[shift:shift + keep]
         self._base = lo
 
 
@@ -173,10 +135,7 @@ class IndexMemory:
     __slots__ = ("_buf", "_head", "_tail")
 
     def __init__(self) -> None:
-        if HAVE_NUMPY:
-            self._buf = _np.empty(64, dtype=_np.intp)
-        else:
-            self._buf = array("q", bytes(8 * 64))
+        self._buf = np.empty(64, dtype=np.intp)
         self._head = 0
         self._tail = 0
 
@@ -197,16 +156,11 @@ class IndexMemory:
         # Enough dead prefix to slide down in place; otherwise double.
         capacity = (len(self._buf) if self._head >= max(64, live)
                     else max(64, 2 * len(self._buf)))
-        if HAVE_NUMPY:
-            if capacity == len(self._buf):
-                self._buf[:live] = self._buf[self._head:self._tail]
-            else:
-                new = _np.empty(capacity, dtype=_np.intp)
-                new[:live] = self._buf[self._head:self._tail]
-                self._buf = new
+        if capacity == len(self._buf):
+            self._buf[:live] = self._buf[self._head:self._tail]
         else:
-            new = array("q", self._buf[self._head:self._tail])
-            new.extend([0] * (capacity - live))
+            new = np.empty(capacity, dtype=np.intp)
+            new[:live] = self._buf[self._head:self._tail]
             self._buf = new
         self._tail = live
         self._head = 0
@@ -222,8 +176,7 @@ class IndexMemory:
             yield int(buf[k])
 
     def view(self):
-        """The retained window -- a zero-copy numpy view (numpy backend
-        only; fallback callers iterate :meth:`indices`)."""
+        """The retained window as a zero-copy view."""
         return self._buf[self._head:self._tail]
 
     def tolist(self) -> List[int]:
@@ -260,60 +213,8 @@ class RobotArrays:
     def refresh(self, robots: Sequence) -> None:
         n = len(robots)
         self.n = n
-        if HAVE_NUMPY:
-            self.x = _np.fromiter((r.x for r in robots), _np.float64, n)
-            self.y = _np.fromiter((r.y for r in robots), _np.float64, n)
-            self.radius = _np.fromiter((r.sensing_radius for r in robots),
-                                       _np.float64, n)
-            self.alive = _np.fromiter((r.alive for r in robots), bool, n)
-        else:
-            self.x = array("d", [r.x for r in robots])
-            self.y = array("d", [r.y for r in robots])
-            self.radius = array("d", [r.sensing_radius for r in robots])
-            self.alive = [r.alive for r in robots]
-
-
-def nearest_two(px, py, exs, eys) -> Tuple:
-    """Per event: the two smallest distances to the ``(px, py)`` points
-    and the index of the first minimiser.
-
-    Ties follow the scalar reference exactly: the first strict minimum
-    wins ``idx1``, and a duplicated minimum value also supplies
-    ``best2`` (``argmin`` / ``partition`` have the same convention).
-    Distances are ``sqrt(dx*dx + dy*dy)``; callers may only use them
-    inside tolerance brackets wide enough to absorb the few-ulp
-    disagreement with ``math.hypot``.
-    """
-    if HAVE_NUMPY:
-        dx = px[:, None] - exs[None, :]
-        dy = py[:, None] - eys[None, :]
-        d = _np.sqrt(dx * dx + dy * dy)
-        idx1 = d.argmin(axis=0)
-        if d.shape[0] >= 2:
-            part = _np.partition(d, 1, axis=0)
-            best1, best2 = part[0], part[1]
-        else:
-            best1 = d[0]
-            best2 = _np.full(d.shape[1], _np.inf)
-        return best1, idx1, best2
-    import math
-    m = len(exs)
-    best1 = array("d", bytes(8 * m))
-    best2 = array("d", bytes(8 * m))
-    idx1 = array("q", bytes(8 * m))
-    for j in range(m):
-        ex, ey = exs[j], eys[j]
-        b1 = b2 = math.inf
-        i1 = -1
-        for i in range(len(px)):
-            d = math.hypot(px[i] - ex, py[i] - ey)
-            if d < b1:
-                b2 = b1
-                b1 = d
-                i1 = i
-            elif d < b2:
-                b2 = d
-        best1[j] = b1
-        best2[j] = b2
-        idx1[j] = i1
-    return best1, idx1, best2
+        self.x = np.fromiter((r.x for r in robots), np.float64, n)
+        self.y = np.fromiter((r.y for r in robots), np.float64, n)
+        self.radius = np.fromiter((r.sensing_radius for r in robots),
+                                  np.float64, n)
+        self.alive = np.fromiter((r.alive for r in robots), bool, n)

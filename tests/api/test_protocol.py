@@ -7,8 +7,7 @@ import pytest
 
 from repro.api import (SIMULATORS, CameraConfig, CameraSimulator,
                        CloudConfig, CloudSimulator, ClusterConfig,
-                       CPNConfig, CPNSimulator, MulticoreConfig,
-                       MulticoreSimulator, SensornetConfig,
+                       CPNConfig, MulticoreConfig, SensornetConfig,
                        SensornetSimulator, ServeConfig, Simulator,
                        SwarmConfig, SwarmSimulator, make_simulator)
 

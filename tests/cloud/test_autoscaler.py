@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from repro.api import CloudConfig, CloudSimulator
 from repro.cloud.autoscaler import (OracleScaler, ReactiveScaler,
                                     SelfAwareScaler, StaticScaler,
-                                    make_cloud_goal, run_autoscaling)
+                                    make_cloud_goal)
 from repro.cloud.cluster import ClusterMetrics
 
 
@@ -118,10 +119,11 @@ class TestEndToEnd:
 
     def _run(self, scaler, steps=400):
         goal = make_cloud_goal()
-        history = run_autoscaling(
-            scaler, self._demand, goal, steps=steps,
+        history = CloudSimulator(
+            CloudConfig(steps=steps), scaler=scaler, demand_fn=self._demand,
+            goal=goal,
             cluster_kwargs=dict(capacity_per_server=10.0, boot_delay=5,
-                                max_servers=40))
+                                max_servers=40)).run()
         utilities = [goal.utility(m.as_dict()) for m in history]
         return sum(utilities) / len(utilities), history
 

@@ -1,7 +1,9 @@
 """Shared test configuration.
 
-``REPRO_FORCE_NAIVE=1`` flips every module-level fast-path default to
-the naive reference implementation before tests import anything.  CI's
+``REPRO_FORCE_NAIVE=1`` flips the eight module-level fast-path
+defaults (witness grid, swarm SoA, bandit, camera spatial grid, camera
+scans, camera step, sensornet field, sensornet node) to their naive
+reference implementations before tests import anything.  CI's
 ``perf-equivalence`` job runs the whole ``tests/perf`` suite under both
 settings, so the golden tables and equivalence fixtures are checked
 against the scalar paths too -- a vectorisation bug can never land as
@@ -12,7 +14,6 @@ import os
 
 
 def _force_naive_paths() -> None:
-    from repro.core import knowledge
     from repro.learning import bandits
     from repro.sensornet import field, node
     from repro.smartcamera import network
@@ -22,7 +23,6 @@ def _force_naive_paths() -> None:
     sim.USE_WITNESS_GRID = False
     robots.USE_FAST_SWARM = False
     bandits.USE_FAST_BANDIT = False
-    knowledge.set_fast_window_stats(False)
     network.USE_SPATIAL_GRID = False
     network.USE_FAST_SCANS = False
     camera_sim.USE_FAST_CAMERA = False

@@ -4,9 +4,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.api import CPNConfig, CPNSimulator
 from repro.cpn.routing import (CPNRouter, DEFAULT_QOS, DELAY_SENSITIVE,
                                LOSS_SENSITIVE, QoSClass)
-from repro.cpn.sim import Flow, forward_packet, run_routing
+from repro.cpn.sim import Flow, forward_packet
 from repro.cpn.topology import CPNetwork
 from repro.experiments.e6_cpn import make_theta_network
 
@@ -86,7 +87,8 @@ class TestEndToEndClasses:
         router = CPNRouter(net, epsilon=0.2, rng=np.random.default_rng(5))
         flows = [Flow(source=0, dest=5, qos=DELAY_SENSITIVE),
                  Flow(source=0, dest=5, qos=LOSS_SENSITIVE)]
-        run_routing(net, router, flows, steps=300, smart_packets_per_flow=3)
+        CPNSimulator(CPNConfig(steps=300, smart_packets_per_flow=3),
+                     network=net, router=router, flows=flows).run()
         # Converged: the two classes take different first hops.
         assert router.next_hop(0, 5, 300.0, qos=DELAY_SENSITIVE) == 1
         assert router.next_hop(0, 5, 300.0, qos=LOSS_SENSITIVE) == 2

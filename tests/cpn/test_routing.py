@@ -5,8 +5,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.api import CPNConfig, CPNSimulator
 from repro.cpn.routing import CPNRouter, OracleRouter, StaticRouter
-from repro.cpn.sim import (Flow, default_flows, forward_packet, run_routing)
+from repro.cpn.sim import Flow, default_flows, forward_packet
 from repro.cpn.topology import CPNetwork, LinkDisturbance
 
 
@@ -48,7 +49,8 @@ class TestCPNRouter:
         net = CPNetwork.random_geometric(n=20, seed=1)
         router = CPNRouter(net, epsilon=0.2, rng=np.random.default_rng(2))
         flows = default_flows(net, n_flows=4, seed=1)
-        run_routing(net, router, flows, steps=500)
+        CPNSimulator(CPNConfig(steps=500), network=net, router=router,
+                     flows=flows).run()
         for flow in flows:
             true_delay = nx.shortest_path_length(net.graph, flow.source,
                                                  flow.dest, weight="delay")
@@ -122,12 +124,15 @@ class TestRunRouting:
             Flow(source=0, dest=1, packets_per_step=0)
         net = simple_net()
         with pytest.raises(ValueError):
-            run_routing(net, StaticRouter(net), [], steps=10)
+            CPNSimulator(CPNConfig(steps=10), network=net,
+                         router=StaticRouter(net), flows=[])
 
     def test_records_and_windows(self):
         net = simple_net()
         net.launch_attack(victim=4, start=5.0, duration=5.0)
-        result = run_routing(net, StaticRouter(net), [Flow(0, 8)], steps=20)
+        result = CPNSimulator(CPNConfig(steps=20), network=net,
+                              router=StaticRouter(net),
+                              flows=[Flow(0, 8)]).run()
         assert len(result.records) == 20
         assert result.attack_window() == (5.0, 10.0)
         assert 0.0 <= result.delivery_rate() <= 1.0
@@ -145,11 +150,12 @@ class TestRunRouting:
         for seed in range(2):
             net = scenario(seed)
             flows = default_flows(net, n_flows=5, seed=seed)
-            static_rates.append(run_routing(
-                net, StaticRouter(net), flows,
-                steps=300).delivery_rate(150, 300))
+            static_rates.append(CPNSimulator(
+                CPNConfig(steps=300), network=net, router=StaticRouter(net),
+                flows=flows).run().delivery_rate(150, 300))
             net = scenario(seed)
             cpn = CPNRouter(net, epsilon=0.2, rng=np.random.default_rng(seed))
-            cpn_rates.append(run_routing(
-                net, cpn, flows, steps=300).delivery_rate(150, 300))
+            cpn_rates.append(CPNSimulator(
+                CPNConfig(steps=300), network=net, router=cpn,
+                flows=flows).run().delivery_rate(150, 300))
         assert np.mean(cpn_rates) > np.mean(static_rates)

@@ -10,7 +10,8 @@ import asyncio
 
 from repro.explain import ExplanationStore
 from repro.obs import TelemetrySession
-from repro.serve import InProcessClient, ServeGovernor, SimulationServer
+from repro.serve import (InProcessClient, ServeGovernor, ServerConfig,
+                         SimulationServer)
 
 SLO = 8.0
 
@@ -103,8 +104,8 @@ class TestGovernorChain:
 class TestServerExplainOp:
     def test_explain_op_returns_structured_chain(self):
         async def body():
-            server = SimulationServer(workers=0, governor="self_aware",
-                                      govern_interval=0.02)
+            server = SimulationServer(ServerConfig(
+                workers=0, governor="self_aware", govern_interval=0.02))
             await server.start(listen=False)
             try:
                 client = InProcessClient(server)
@@ -131,7 +132,8 @@ class TestServerExplainOp:
 
     def test_explain_op_still_works_without_telemetry(self):
         async def body():
-            server = SimulationServer(workers=0, governor="none")
+            server = SimulationServer(ServerConfig(workers=0,
+                                                   governor="none"))
             await server.start(listen=False)
             try:
                 return await InProcessClient(server).request({"op": "explain"})

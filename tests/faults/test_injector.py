@@ -1,6 +1,5 @@
 """The injector: deterministic, isolated, provably inert at zero."""
 
-import numpy as np
 import pytest
 
 from repro.faults.injector import FaultInjector, make_injector

@@ -163,9 +163,9 @@ class TestSimulatorDomainMetrics:
     """Every substrate registers at least one domain metric."""
 
     def test_smartcamera(self):
-        from repro.smartcamera.sim import CameraSimConfig, run_self_aware
+        from repro.api import CameraConfig, CameraSimulator
         with TelemetrySession() as session:
-            run_self_aware(CameraSimConfig(steps=15, n_objects=4))
+            CameraSimulator(CameraConfig(steps=15, n_objects=4)).run()
         snap = session.snapshot()
         assert snap["counters"]["steps{sim=smartcamera}"] == 15.0
         assert "camera.handovers" in snap["counters"]
@@ -185,34 +185,35 @@ class TestSimulatorDomainMetrics:
         assert not math.isnan(snap["gauges"]["cloud.active_servers"])
 
     def test_cpn(self):
+        from repro.api import CPNConfig, CPNSimulator
         from repro.cpn.routing import CPNRouter
-        from repro.cpn.sim import default_flows, run_routing
+        from repro.cpn.sim import default_flows
         from repro.cpn.topology import CPNetwork
         network = CPNetwork.grid(3, 3, seed=0)
         with TelemetrySession() as session:
-            run_routing(network, CPNRouter(network),
-                        default_flows(network, 3), steps=10)
+            CPNSimulator(CPNConfig(steps=10), network=network,
+                         router=CPNRouter(network),
+                         flows=default_flows(network, 3)).run()
         snap = session.snapshot()
         assert snap["counters"]["steps{sim=cpn}"] == 10.0
         assert snap["counters"]["cpn.packets_sent"] > 0
         assert snap["histograms"]["cpn.packet_delay"]["count"] > 0
 
     def test_multicore(self):
-        from repro.multicore.governor import OndemandGovernor
-        from repro.multicore.sim import run_governor
+        from repro.api import MulticoreConfig, MulticoreSimulator
         with TelemetrySession() as session:
-            run_governor(OndemandGovernor(), steps=12)
+            MulticoreSimulator(
+                MulticoreConfig(steps=12, governor="ondemand")).run()
         snap = session.snapshot()
         assert snap["counters"]["steps{sim=multicore}"] == 12.0
         assert snap["histograms"]["multicore.throughput"]["count"] == 12.0
         assert not math.isnan(snap["gauges"]["multicore.max_temperature"])
 
     def test_swarm(self):
-        from repro.swarm.robots import StaticFormation
-        from repro.swarm.sim import SwarmMissionConfig, run_mission
+        from repro.api import SwarmConfig, SwarmSimulator
         with TelemetrySession() as session:
-            run_mission(StaticFormation(4),
-                        SwarmMissionConfig(steps=15, n_robots=4))
+            SwarmSimulator(SwarmConfig(steps=15, n_robots=4,
+                                       controller="static")).run()
         snap = session.snapshot()
         assert snap["counters"]["steps{sim=swarm}"] == 15.0
         assert snap["counters"]["swarm.events"] > 0
@@ -220,13 +221,15 @@ class TestSimulatorDomainMetrics:
         assert snap["gauges"]["swarm.alive_robots"] == 2.0
 
     def test_sensornet(self):
+        from repro.api import SensornetConfig, SensornetSimulator
         from repro.core.attention import RoundRobinAttention
         from repro.sensornet.field import ChannelField, mixed_channel_specs
-        from repro.sensornet.node import run_sensing
         field = ChannelField(mixed_channel_specs(4, seed=1),
                              rng=np.random.default_rng(0))
         with TelemetrySession() as session:
-            run_sensing(field, RoundRobinAttention(), budget=2.0, steps=15)
+            SensornetSimulator(SensornetConfig(steps=15, budget=2.0),
+                               field=field,
+                               attention=RoundRobinAttention()).run()
         snap = session.snapshot()
         assert snap["counters"]["steps{sim=sensornet}"] == 15.0
         assert snap["counters"]["sensornet.energy_spent"] > 0

@@ -166,13 +166,15 @@ class TestMissionTablesJSONStable:
         # End-to-end guard on the numbers that reach the E12 table: the
         # aggregated detection rates must serialise to identical JSON
         # under the fast and naive paths.
-        from repro.swarm.sim import run_mission
+        from repro.api import SwarmSimulator
 
         def run(fast):
             controller = SelfAwareSwarm(rng=np.random.default_rng(500),
                                         fast=fast)
             config = SwarmMissionConfig(n_robots=9, steps=120, seed=0)
-            result = run_mission(controller, config, use_grid=fast)
+            result = SwarmSimulator(mission_config=config,
+                                    controller=controller,
+                                    use_grid=fast).run()
             return [result.detection_rate(),
                     result.detection_rate(0.0, 48.0),
                     result.detection_rate(54.0, 84.0)]

@@ -67,23 +67,21 @@ class TestSwarmShardsFastVsNaive:
         assert fast == naive
 
     def test_scalar_soa_backend_identical_too(self, naive_flags):
-        """The non-numpy SoA fallback is held to the same standard."""
+        """The SoA mission matches the naive object-graph reference on
+        a denser event stream, robot positions included."""
         import numpy as np
 
         from repro.swarm.sim import SwarmMission, SwarmMissionConfig
 
-        def mission(fast, vectorized):
+        def mission(fast):
             config = SwarmMissionConfig(n_robots=9, steps=120,
                                         events_per_step=4.0, seed=3)
             controller = robots.SelfAwareSwarm(
-                rng=np.random.default_rng(11), fast=fast,
-                vectorized=vectorized)
+                rng=np.random.default_rng(11), fast=fast)
             run = SwarmMission(controller, config, use_grid=fast)
             records = [run.step(float(t)) for t in range(120)]
             return ([(r.time, r.events, r.witnessed, r.alive)
                      for r in records],
                     [(r.robot_id, r.x, r.y, r.alive) for r in run.robots])
 
-        reference = mission(fast=False, vectorized=None)
-        assert mission(fast=True, vectorized=True) == reference
-        assert mission(fast=True, vectorized=False) == reference
+        assert mission(fast=True) == mission(fast=False)

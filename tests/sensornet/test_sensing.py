@@ -4,10 +4,11 @@
 import numpy as np
 import pytest
 
+from repro.api import SensornetConfig, SensornetSimulator
 from repro.core.attention import (FullAttention, RandomAttention,
                                   SalienceAttention)
 from repro.sensornet.field import ChannelField, ChannelSpec, mixed_channel_specs
-from repro.sensornet.node import SensingNode, run_sensing
+from repro.sensornet.node import SensingNode
 
 
 class TestChannelSpec:
@@ -85,10 +86,12 @@ class TestSensingNode:
         assert len(node.beliefs()) >= 4
 
     def test_error_decreases_with_budget(self):
-        tight = run_sensing(self._field(1), FullAttention(), budget=1.0,
-                            steps=300, rng=np.random.default_rng(12))
-        loose = run_sensing(self._field(1), FullAttention(), budget=10.0,
-                            steps=300, rng=np.random.default_rng(12))
+        tight = SensornetSimulator(
+            SensornetConfig(steps=300, budget=1.0), field=self._field(1),
+            attention=FullAttention(), rng=np.random.default_rng(12)).run()
+        loose = SensornetSimulator(
+            SensornetConfig(steps=300, budget=10.0), field=self._field(1),
+            attention=FullAttention(), rng=np.random.default_rng(12)).run()
         assert loose.mean_error(skip=20) < tight.mean_error(skip=20)
 
     def test_salience_relevance_seeded_from_importance(self):
@@ -113,8 +116,10 @@ class TestAttentionComparison:
             for seed in range(3):
                 field = ChannelField(mixed_channel_specs(8, seed=seed),
                                      rng=np.random.default_rng(seed))
-                res = run_sensing(field, make(), budget=2.0, steps=400,
-                                  rng=np.random.default_rng(100 + seed))
+                res = SensornetSimulator(
+                    SensornetConfig(steps=400, budget=2.0), field=field,
+                    attention=make(),
+                    rng=np.random.default_rng(100 + seed)).run()
                 vals.append(res.mean_error(skip=50))
             errs[name] = np.mean(vals)
         assert errs["salience"] < 0.5 * errs["full"]
@@ -129,8 +134,10 @@ class TestAttentionComparison:
             for seed in range(3):
                 field = ChannelField(mixed_channel_specs(8, seed=seed),
                                      rng=np.random.default_rng(seed))
-                res = run_sensing(field, make(), budget=4.0, steps=400,
-                                  rng=np.random.default_rng(200 + seed))
+                res = SensornetSimulator(
+                    SensornetConfig(steps=400, budget=4.0), field=field,
+                    attention=make(),
+                    rng=np.random.default_rng(200 + seed)).run()
                 vals.append(res.mean_error(skip=50))
             errs[name] = np.mean(vals)
         assert errs["salience"] <= errs["random"] * 1.05

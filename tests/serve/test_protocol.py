@@ -21,7 +21,7 @@ class TestEnvelopes:
         assert response["v"] == PROTOCOL_VERSION
         assert response["error"] == {"code": "moved", "message": "it moved",
                                      "retryable": True, "node": "n3"}
-        assert response["code"] == "moved"  # deprecated v0 mirror
+        assert "code" not in response
 
     def test_retryability_is_a_property_of_the_code(self):
         assert ErrorCode.SHED_RATE in RETRYABLE
@@ -36,8 +36,6 @@ class TestEnvelopes:
 
     def test_error_code_reads_v1_then_v0(self):
         assert error_code(error_response(ErrorCode.MOVED, "m")) == "moved"
-        assert error_code({"ok": False, "code": "shed_rate",
-                           "error": "old style"}) == "shed_rate"
         assert error_code({"ok": True, "x": 1}) is None
 
 

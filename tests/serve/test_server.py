@@ -58,7 +58,6 @@ class TestOps:
             missing = await client.step(session)
             assert missing["error"]["code"] == "unknown_session"
             assert missing["error"]["retryable"] is False
-            assert missing["code"] == "unknown_session"  # v0 mirror
 
         run(with_server(body))
 
@@ -258,14 +257,14 @@ class TestErrors:
 
     def test_error_envelope_shape(self):
         """Every error is the one structured object: code, message,
-        retryable, plus the versioned envelope and the v0 mirror."""
+        retryable, plus the versioned envelope."""
         async def body(server, client):
             response = await client.request({"op": "step", "session": "sX"})
             assert response["ok"] is False
             assert response["v"] == 1
             error = response["error"]
             assert set(error) >= {"code", "message", "retryable"}
-            assert response["code"] == error["code"]  # deprecated mirror
+            assert "code" not in response
 
         run(with_server(body))
 
@@ -380,7 +379,6 @@ class TestSocket:
                 await writer.drain()
                 response = json.loads(await reader.readline())
                 assert response == {"ok": False, "v": 1,
-                                    "code": "bad_request",
                                     "error": response["error"]}
                 assert response["error"]["code"] == "bad_request"
                 assert "unparseable" in response["error"]["message"]
@@ -397,17 +395,9 @@ class TestConstruction:
         with pytest.raises(ValueError, match="governor"):
             SimulationServer(ServerConfig(governor="vibes"))
 
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="ServerConfig"):
-            server = SimulationServer(workers=0, governor="static", ttl=7.0)
-        assert server.config.ttl == 7.0
-        assert server.config.governor == "static"
-
-    def test_config_and_legacy_kwargs_cannot_mix(self):
-        with pytest.raises(TypeError, match="not both"):
-            SimulationServer(ServerConfig(), ttl=7.0)
-
     def test_unknown_legacy_kwarg_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="unknown server option"):
-                SimulationServer(threads=3)
+        # Options travel only inside a ServerConfig.
+        with pytest.raises(TypeError, match="workers"):
+            SimulationServer(workers=2)
+        with pytest.raises(TypeError, match="ServerConfig"):
+            SimulationServer({"workers": 2})

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import CameraConfig, CameraSimulator
 from repro.smartcamera.controller import (FixedStrategyController,
                                           SelfAwareStrategyController,
                                           strategy_entropy)
-from repro.smartcamera.sim import (CameraSimConfig, CameraSimulation,
-                                   run_homogeneous, run_self_aware)
+from repro.smartcamera.sim import CameraSimConfig, CameraSimulation
 from repro.smartcamera.strategies import ALL_STRATEGIES, Strategy
 
 
@@ -17,9 +17,22 @@ def small_config(**kwargs):
     return CameraSimConfig(**defaults)
 
 
+def run_fixed(config, strategy):
+    """Every camera pinned to ``strategy`` over ``config``."""
+    return CameraSimulator(CameraConfig(controller="fixed",
+                                        strategy=strategy.name),
+                           sim_config=config).run()
+
+
+def run_learning(config, epsilon=0.1):
+    """Self-aware (learning) cameras over ``config``."""
+    return CameraSimulator(CameraConfig(epsilon=epsilon),
+                           sim_config=config).run()
+
+
 class TestSimulationMechanics:
     def test_run_produces_records(self):
-        result = run_homogeneous(small_config(), Strategy.PASSIVE_SMOOTH)
+        result = run_fixed(small_config(), Strategy.PASSIVE_SMOOTH)
         assert len(result.records) == 100
         assert all(r.tracking_utility >= 0 for r in result.records)
 
@@ -39,15 +52,15 @@ class TestSimulationMechanics:
                 assert sim.network.cameras[cam_id].sees(obj)
 
     def test_broadcast_sends_more_messages_than_smooth(self):
-        loud = run_homogeneous(small_config(), Strategy.ACTIVE_BROADCAST)
-        quiet = run_homogeneous(small_config(), Strategy.PASSIVE_SMOOTH)
+        loud = run_fixed(small_config(), Strategy.ACTIVE_BROADCAST)
+        quiet = run_fixed(small_config(), Strategy.PASSIVE_SMOOTH)
         assert loud.mean_messages() > quiet.mean_messages()
 
     def test_active_tracks_no_worse_than_passive(self):
-        active = run_homogeneous(small_config(steps=300, seed=3),
-                                 Strategy.ACTIVE_BROADCAST)
-        passive = run_homogeneous(small_config(steps=300, seed=3),
-                                  Strategy.PASSIVE_SMOOTH)
+        active = run_fixed(small_config(steps=300, seed=3),
+                           Strategy.ACTIVE_BROADCAST)
+        passive = run_fixed(small_config(steps=300, seed=3),
+                            Strategy.PASSIVE_SMOOTH)
         assert (active.mean_tracking_utility()
                 >= passive.mean_tracking_utility() - 0.1)
 
@@ -56,7 +69,7 @@ class TestSimulationMechanics:
                               comm_weight_breaks=[(50.0, 0.5)])
         assert config.comm_weight_at(0.0) == 0.01
         assert config.comm_weight_at(60.0) == 0.5
-        result = run_homogeneous(config, Strategy.ACTIVE_BROADCAST)
+        result = run_fixed(config, Strategy.ACTIVE_BROADCAST)
         weights = {r.comm_weight for r in result.records}
         assert weights == {0.01, 0.5}
 
@@ -84,23 +97,23 @@ class TestSimulationMechanics:
         # re-detection, objects that escape their owner stay lost.
         config = small_config(detection_rate=0.0, auction_threshold=0.0,
                               steps=300, object_speed=0.05)
-        result = run_homogeneous(config, Strategy.PASSIVE_SMOOTH)
+        result = run_fixed(config, Strategy.PASSIVE_SMOOTH)
         assert result.records[-1].lost_objects > 0
 
     def test_reproducible_under_seed(self):
-        a = run_self_aware(small_config(seed=5))
-        b = run_self_aware(small_config(seed=5))
+        a = run_learning(small_config(seed=5))
+        b = run_learning(small_config(seed=5))
         assert a.mean_tracking_utility() == b.mean_tracking_utility()
         assert a.mean_messages() == b.mean_messages()
 
 
 class TestSelfAwareLearning:
     def test_learner_develops_diversity(self):
-        result = run_self_aware(small_config(steps=400, seed=2))
+        result = run_learning(small_config(steps=400, seed=2))
         assert result.diversity_bits() > 0.5
 
     def test_homogeneous_network_has_zero_entropy(self):
-        result = run_homogeneous(small_config(), Strategy.PASSIVE_SMOOTH)
+        result = run_fixed(small_config(), Strategy.PASSIVE_SMOOTH)
         assert result.diversity_bits() == 0.0
 
     def test_learner_efficiency_is_competitive(self):
@@ -109,10 +122,10 @@ class TestSelfAwareLearning:
         config_kwargs = dict(steps=600, seed=4, random_placement=True,
                              rows=3, cols=3, n_objects=8)
         best = max(
-            run_homogeneous(small_config(**config_kwargs), s).efficiency()
+            run_fixed(small_config(**config_kwargs), s).efficiency()
             for s in ALL_STRATEGIES)
-        learned = run_self_aware(small_config(**config_kwargs),
-                                 epsilon=0.05).efficiency()
+        learned = run_learning(small_config(**config_kwargs),
+                               epsilon=0.05).efficiency()
         assert learned > 0.85 * best
 
     def test_preferred_strategy_reported(self):

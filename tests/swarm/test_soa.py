@@ -1,13 +1,10 @@
 """Units for the struct-of-arrays swarm substrate primitives."""
 
-import math
-
 import pytest
 
-from repro.swarm import soa
 from repro.swarm.arena import Event
 from repro.swarm.soa import (EventTable, IndexMemory, RobotArrays,
-                             nearest_two, prefilter_limit_sq)
+                             prefilter_limit_sq)
 from repro.swarm.robots import Robot
 
 
@@ -58,8 +55,6 @@ class TestEventTable:
         xs, ys = table.columns(6, 9)
         assert list(xs) == [6.0, 7.0, 8.0]
         assert list(ys) == [-6.0, -7.0, -8.0]
-        assert table.xs_list([7, 9, 5]) == [7.0, 9.0, 5.0]
-        assert table.ys_list([7]) == [-7.0]
 
 
 class TestIndexMemory:
@@ -128,58 +123,6 @@ class TestRobotArrays:
         robots[1].x = 0.9
         arrays.refresh(robots)
         assert list(arrays.x)[1] == 0.9
-
-
-class TestNearestTwo:
-    def _scalar_reference(self, px, py, exs, eys):
-        out = []
-        for ex, ey in zip(exs, eys):
-            best1 = best2 = math.inf
-            idx1 = -1
-            for i, (x, y) in enumerate(zip(px, py)):
-                d = math.hypot(x - ex, y - ey)
-                if d < best1:
-                    best2 = best1
-                    best1 = d
-                    idx1 = i
-                elif d < best2:
-                    best2 = d
-            out.append((best1, idx1, best2))
-        return out
-
-    def test_matches_scalar_tie_convention(self):
-        px = [0.0, 0.0, 1.0, 0.5]
-        py = [0.0, 0.0, 0.0, 0.5]
-        exs = [0.0, 1.0, 0.5, 0.25]
-        eys = [0.0, 0.0, 0.5, 0.0]
-        if soa.HAVE_NUMPY:
-            import numpy as np
-            best1, idx1, best2 = nearest_two(
-                np.asarray(px), np.asarray(py),
-                np.asarray(exs), np.asarray(eys))
-        else:
-            best1, idx1, best2 = nearest_two(px, py, exs, eys)
-        reference = self._scalar_reference(px, py, exs, eys)
-        for j, (b1, i1, b2) in enumerate(reference):
-            # px[0] == px[1]: the duplicated minimiser must give the
-            # first index and supply best2, like the scalar loop.
-            assert float(best1[j]) == pytest.approx(b1, abs=1e-12)
-            assert int(idx1[j]) == i1
-            assert float(best2[j]) == pytest.approx(b2, abs=1e-12)
-
-    def test_single_point_best2_is_inf(self):
-        if soa.HAVE_NUMPY:
-            import numpy as np
-            best1, idx1, best2 = nearest_two(
-                np.asarray([0.25]), np.asarray([0.25]),
-                np.asarray([0.5, 0.25]), np.asarray([0.25, 0.25]))
-        else:
-            best1, idx1, best2 = nearest_two(
-                [0.25], [0.25], [0.5, 0.25], [0.25, 0.25])
-        assert float(best1[0]) == pytest.approx(0.25)
-        assert int(idx1[0]) == 0
-        assert math.isinf(float(best2[0]))
-        assert float(best1[1]) == 0.0
 
 
 class TestPrefilter:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import SwarmSimulator
 from repro.swarm.arena import Arena, Event, Hotspot
 from repro.swarm.robots import (RandomPatrol, Robot, SelfAwareSwarm,
                                 StaticFormation, make_swarm)
-from repro.swarm.sim import SwarmMissionConfig, run_mission
+from repro.swarm.sim import SwarmMissionConfig
 
 
 class TestArena:
@@ -128,9 +129,9 @@ class TestControllers:
 
 class TestMission:
     def test_run_produces_records(self):
-        result = run_mission(
-            RandomPatrol(np.random.default_rng(0)),
-            SwarmMissionConfig(steps=100, seed=0))
+        result = SwarmSimulator(
+            mission_config=SwarmMissionConfig(steps=100, seed=0),
+            controller=RandomPatrol(np.random.default_rng(0))).run()
         assert len(result.records) == 100
         assert 0.0 <= result.detection_rate() <= 1.0
 
@@ -138,7 +139,8 @@ class TestMission:
         config = SwarmMissionConfig(steps=100, n_robots=5,
                                     failure_fracs=((0.5, 0), (0.5, 1)),
                                     seed=1)
-        result = run_mission(StaticFormation(5), config)
+        result = SwarmSimulator(mission_config=config,
+                                controller=StaticFormation(5)).run()
         assert result.records[0].alive == 5
         assert result.records[-1].alive == 3
 
@@ -152,7 +154,8 @@ class TestMission:
             vals = []
             for seed in range(2):
                 config = SwarmMissionConfig(steps=500, seed=seed)
-                result = run_mission(factory(seed), config)
+                result = SwarmSimulator(mission_config=config,
+                                        controller=factory(seed)).run()
                 vals.append(result.detection_rate(0.75 * 500, 500))
             rates[name] = np.mean(vals)
         assert rates["self-aware"] > rates["static"] + 0.1
