@@ -20,6 +20,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+# Rate percentiles use the repository's one interpolating percentile
+# (numpy's linear method; ``ValueError`` on an empty list).
+from ..metrics.stats import percentile_linear as percentile
+
 #: A runner advances its simulation ``n`` steps.
 StepRunner = Callable[[int], None]
 #: A setup builds a fresh runner (fresh simulation state).
@@ -74,19 +78,6 @@ class KernelResult:
             "median_ms_per_step": round(
                 1000.0 / percentile(rates, 50.0), 6) if rates else None,
         }
-
-
-def percentile(sorted_vals: List[float], q: float) -> float:
-    """Linear-interpolation percentile of an ascending-sorted list."""
-    if not sorted_vals:
-        raise ValueError("need at least one value")
-    if len(sorted_vals) == 1:
-        return sorted_vals[0]
-    pos = (q / 100.0) * (len(sorted_vals) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_vals) - 1)
-    frac = pos - lo
-    return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
 
 
 #: Iterations of the fixed calibration loop per timed repeat -- sized

@@ -102,8 +102,8 @@ class VolunteerPool:
         self.heartbeat_lag = heartbeat_lag
         self.providers: List[VolunteerProvider] = []
         for i in range(n_providers):
-            rel = float(np.clip(0.9 - reliability_spread * self._rng.random(),
-                                0.1, 0.95))
+            rel = float(min(max(
+                0.9 - reliability_spread * self._rng.random(), 0.1), 0.95))
             self.providers.append(VolunteerProvider(
                 provider_id=i, reliability=rel,
                 rng=np.random.default_rng(self._rng.integers(2 ** 31))))

@@ -43,9 +43,9 @@ class BoundedRandomWalk:
     def step(self) -> float:
         """Advance one step and return the new value."""
         drift = self.reversion * (self.mean - self.current)
-        self.current = float(np.clip(
+        self.current = float(min(max(
             self.current + drift + self._rng.normal(0.0, self.sigma),
-            self.lo, self.hi))
+            self.lo), self.hi))
         return self.current
 
     def retarget(self, mean: float) -> None:

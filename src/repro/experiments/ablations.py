@@ -232,7 +232,7 @@ def _bin_fn_for(levels: int):
 
     def bin_fn(context):
         return tuple(sorted(
-            (k, round(step * float(np.clip(v, 0.0, 1.2))) / step)
+            (k, round(step * float(min(max(v, 0.0), 1.2))) / step)
             for k, v in context.items()))
     return bin_fn
 

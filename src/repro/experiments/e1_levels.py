@@ -92,8 +92,8 @@ class ResourceAllocationEnvironment:
 
     def current_storm(self, now: float) -> float:
         """Current effective storminess in [0, 1]."""
-        return float(np.clip(self.storminess.current + self.shocks.offset(now),
-                             0.0, 1.0))
+        return float(min(max(
+            self.storminess.current + self.shocks.offset(now), 0.0), 1.0))
 
     def candidate_actions(self, now: float) -> List[str]:
         return list(ACTION_TABLE)
@@ -105,7 +105,7 @@ class ResourceAllocationEnvironment:
     def peer_reports(self, now: float):
         """An upstream system shares its (cleaner) storm estimate."""
         report = self.current_storm(now) + float(self._rng.normal(0.0, 0.03))
-        yield ("upstream", "storm", float(np.clip(report, 0.0, 1.0)))
+        yield ("upstream", "storm", float(min(max(report, 0.0), 1.0)))
 
     def apply(self, action: Hashable, now: float) -> Dict[str, float]:
         self._now = now
@@ -122,7 +122,7 @@ class ResourceAllocationEnvironment:
         perf = (1.0 - storm) * calm_perf + storm * storm_perf
         perf += float(self._rng.normal(0.0, 0.03))
         self.storminess.step()
-        return {"perf": float(np.clip(perf, 0.0, 1.0)), "cost": cost}
+        return {"perf": float(min(max(perf, 0.0), 1.0)), "cost": cost}
 
 
 def make_e1_goal() -> Goal:

@@ -16,12 +16,15 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..envgen.processes import BoundedRandomWalk
+from .soa import step_walks_batched
 
 #: Default for the batched channel stepping (see
-#: :func:`repro.sensornet.soa.step_walks_batched`).  The per-walk scalar
-#: loop is retained as the reference; the batched draw consumes the
-#: shared generator bit-identically, so both paths produce the same
-#: signals and leave the RNG in the same state.  Forced off by
+#: :func:`repro.sensornet.soa.step_walks_batched`: one ``normal`` draw
+#: for every channel, then each walk's mean-reversion update and clamp
+#: in Python floats).  The per-walk scalar loop is retained as the
+#: reference; the batched draw consumes the shared generator
+#: bit-identically, so both paths produce the same signals and leave
+#: the RNG in the same state.  Forced off by
 #: ``REPRO_FORCE_NAIVE=1`` in the test harness.
 USE_FAST_FIELD = True
 
@@ -102,7 +105,6 @@ class ChannelField:
     def step(self) -> None:
         """Advance every hidden signal one step."""
         if self._fast:
-            from .soa import step_walks_batched
             step_walks_batched(self._walks, self._rng)
             return
         for signal in self._signals.values():

@@ -12,9 +12,13 @@ RNG draw at a time.  This module flattens both:
   generator in a single batched draw.  ``Generator.normal(0.0, sigma)``
   with a sigma *vector* consumes the underlying bit stream exactly like
   the equivalent sequence of scalar ``normal`` calls, and the
-  elementwise ``clip(cur + reversion*(mean-cur) + z)`` update performs
-  the same float operations in the same order, so every walk value and
-  the generator state are bit-identical to the scalar loop.
+  per-walk ``min(max(cur + reversion*(mean-cur) + z, lo), hi)`` update
+  performs the same float operations in the same order as the scalar
+  :meth:`~repro.envgen.processes.BoundedRandomWalk.step`, so every walk
+  value and the generator state are bit-identical to the scalar loop.
+  Only the draw is batched: the update runs on Python floats, because
+  for the few to few hundred channels a node tracks, numpy's per-call
+  overhead on the parameter columns costs more than the arithmetic.
 - :class:`NodeColumns` -- per-channel columns for one
   :class:`~repro.sensornet.node.SensingNode`: scope-ordered sensor /
   cost / history references resolved once (histories lazily, as the
@@ -36,8 +40,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import SensingNode
 
@@ -47,20 +49,23 @@ def step_walks_batched(walks, rng) -> None:
 
     Equivalent to ``for w in walks: w.step()`` when every walk draws
     from ``rng``: the batched ``normal(0.0, sigma_vector)`` consumes the
-    same stream as the scalar draws, and the vectorised mean-reversion
-    update applies the same operations elementwise.  Parameter columns
-    are re-read every call, so run-time ``retarget`` stays visible.
+    same stream as the scalar draws, and each walk's mean-reversion
+    update and clamp are the scalar step's own float operations.
+    Parameters are re-read every call, so run-time ``retarget`` stays
+    visible.
     """
-    k = len(walks)
-    cur = np.fromiter((w.current for w in walks), np.float64, count=k)
-    mean = np.fromiter((w.mean for w in walks), np.float64, count=k)
-    rev = np.fromiter((w.reversion for w in walks), np.float64, count=k)
-    sigma = np.fromiter((w.sigma for w in walks), np.float64, count=k)
-    lo = np.fromiter((w.lo for w in walks), np.float64, count=k)
-    hi = np.fromiter((w.hi for w in walks), np.float64, count=k)
-    z = rng.normal(0.0, sigma)
-    new = np.clip(cur + rev * (mean - cur) + z, lo, hi).tolist()
-    for w, v in zip(walks, new):
+    z = rng.normal(0.0, [w.sigma for w in walks]).tolist()
+    for w, dz in zip(walks, z):
+        cur = w.current
+        v = cur + w.reversion * (w.mean - cur) + dz
+        # ``min(max(v, lo), hi)`` without the two builtin calls: ``max``
+        # keeps its first argument unless a later one compares greater,
+        # ``min`` unless one compares less (NaN and -0.0 included).
+        lo, hi = w.lo, w.hi
+        if lo > v:
+            v = lo
+        if hi < v:
+            v = hi
         w.current = v
 
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from ..api.configs import ClusterConfig
 from ..envgen.scenario import FlashMix, UniformMix, ZipfMix
+from ..metrics.stats import percentile_linear
 from ..obs import events as obs_events
 from .admission import ADMIT, AdmissionController
 from .config import ServerConfig
@@ -476,7 +477,7 @@ class ClusterSimulation:
         if int(t) % cfg.govern_every == 0:
             for node_id in self.node_ids:
                 node = self.nodes[node_id]
-                p95 = (float(np.percentile(node.recent_latencies, 95.0))
+                p95 = (percentile_linear(node.recent_latencies, 95.0)
                        if node.recent_latencies else 0.0)
                 arrival = (sum(node.recent_arrivals)
                            / max(1, len(node.recent_arrivals)))
@@ -617,7 +618,7 @@ class ClusterSimulation:
                      if tick >= warmup]
         return {
             "goodput": good / ticks,
-            "p95_latency": (float(np.percentile(latencies, 95.0))
+            "p95_latency": (percentile_linear(latencies, 95.0)
                             if latencies else float("nan")),
             "shed_fraction": shed / offered if offered else 0.0,
             "mean_pool": sum(r["pool"] for r in window) / ticks,

@@ -56,6 +56,9 @@ class ErrorCode(str, Enum):
     #: A migration import landed on a node the cluster did not route
     #: it to (rehydrate-on-wrong-node rejection).
     WRONG_NODE = "wrong_node"
+    #: A request line longer than the server's stream limit; the
+    #: server answers once and closes the connection.
+    TOO_LARGE = "too_large"
     #: Unexpected server-side failure.
     INTERNAL = "internal"
 

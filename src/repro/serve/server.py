@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -70,6 +71,8 @@ from .protocol import (PROTOCOL_VERSION, CapabilityError, ErrorCode,
                        check_version, error_code, error_response, ok_response)
 from .ring import HashRing
 from .sessions import SessionTable, UnknownSession
+
+log = logging.getLogger(__name__)
 
 #: Ops that name an existing session and are therefore subject to the
 #: cluster placement ("moved") guard.  The migration pair is exempt:
@@ -211,14 +214,24 @@ class SimulationServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # The line overran the stream limit.  The rest of it
+                    # is still in flight, so the stream cannot be
+                    # re-synchronised: answer once, then close.
+                    writer.write(json.dumps(error_response(
+                        ErrorCode.TOO_LARGE,
+                        f"request line too long: {exc}")).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:
                     request = json.loads(line)
                     if not isinstance(request, dict):
                         raise ValueError("request must be a JSON object")
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     response = error_response(ErrorCode.BAD_REQUEST,
                                               f"unparseable: {exc}")
                 else:
@@ -241,7 +254,7 @@ class SimulationServer:
         if version_error is not None:
             return version_error
         op = request.get("op")
-        handler = self._handlers.get(op)
+        handler = self._handlers.get(op) if isinstance(op, str) else None
         if handler is None:
             return error_response(
                 ErrorCode.BAD_REQUEST,
@@ -264,8 +277,14 @@ class SimulationServer:
         except UnknownSession as exc:
             return error_response(ErrorCode.UNKNOWN_SESSION,
                                   f"no session {exc.args[0]!r}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             return error_response(ErrorCode.BAD_REQUEST, str(exc))
+        except Exception as exc:
+            # The boundary that must keep serving: record the traceback,
+            # answer the request, keep the connection.
+            log.exception("%r request failed", op)
+            return error_response(ErrorCode.INTERNAL,
+                                  f"{type(exc).__name__}: {exc}")
         if response.get("ok") is not False:
             response = ok_response(response)
         elapsed = self._clock() - t0

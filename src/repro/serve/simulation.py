@@ -30,6 +30,7 @@ import numpy as np
 from ..api.configs import ServeConfig
 from ..faults.injector import FaultInjector, make_injector
 from ..faults.plan import CRASH
+from ..metrics.stats import percentile_linear
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from .admission import ADMIT, AdmissionController
@@ -189,7 +190,7 @@ class ServingSimulation:
                     good += 1
 
         utilisation = served_work / capacity
-        p95_recent = (float(np.percentile(self._recent_latencies, 95.0))
+        p95_recent = (percentile_linear(self._recent_latencies, 95.0)
                       if self._recent_latencies else 0.0)
         arrival_rate = (sum(self._recent_arrivals)
                         / max(1, len(self._recent_arrivals)))
@@ -282,7 +283,7 @@ class ServingSimulation:
                      if tick >= warmup]
         return {
             "goodput": good / ticks,
-            "p95_latency": (float(np.percentile(latencies, 95.0))
+            "p95_latency": (percentile_linear(latencies, 95.0)
                             if latencies else float("nan")),
             "shed_fraction": shed / offered if offered else 0.0,
             "mean_pool": sum(r["pool"] for r in window) / ticks,

@@ -1,7 +1,12 @@
 """Tests for environment processes."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.envgen.processes import (BoundedRandomWalk, MarkovModulatedProcess,
                                     RegimeSequence, SeasonalProcess, Shock,
@@ -35,6 +40,57 @@ class TestBoundedRandomWalk:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             BoundedRandomWalk(lo=1.0, hi=0.0)
+
+    @pytest.mark.parametrize("start", [0.3, -0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("lo", [0.0, -0.0])
+    def test_step_matches_np_clip_formulation(self, start, lo):
+        """The value-first clamp replaced ``float(np.clip(...))``; the
+        walk and its generator must not notice."""
+        walk = BoundedRandomWalk(mean=0.5, reversion=0.05, sigma=0.4,
+                                 lo=lo, hi=1.0, start=start,
+                                 rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        current = start
+        for _ in range(500):
+            drift = 0.05 * (0.5 - current)
+            current = float(np.clip(current + drift + rng.normal(0.0, 0.4),
+                                    lo, 1.0))
+            value = walk.step()
+            assert _bits(value) == _bits(current) or (
+                math.isnan(value) and math.isnan(current))
+        assert (walk._rng.bit_generator.state
+                == rng.bit_generator.state)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestValueFirstClamp:
+    """``min(max(x, lo), hi)`` -- the spelling every scalar clamp in the
+    package uses -- equals scalar ``np.clip`` bit for bit, including
+    signed zeros, infinities and NaN (the reverse nesting
+    ``min(hi, max(lo, x))`` does not: it turns NaN into ``lo``)."""
+
+    @given(st.floats(), st.floats(allow_nan=False),
+           st.floats(allow_nan=False))
+    @example(-0.0, 0.0, 1.0)
+    @example(0.0, -0.0, 1.0)
+    @example(-0.0, -1.0, 0.0)
+    @example(0.0, -1.0, -0.0)
+    @example(math.nan, 0.0, 1.0)
+    @example(math.inf, 0.0, 1.0)
+    @example(-math.inf, 0.0, 1.0)
+    @example(0.5, -math.inf, math.inf)
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_scalar_np_clip(self, x, lo, hi):
+        assume(lo <= hi)
+        ours = min(max(x, lo), hi)
+        ref = float(np.clip(x, lo, hi))
+        if math.isnan(ref):
+            assert math.isnan(ours)
+        else:
+            assert _bits(ours) == _bits(ref)
 
 
 class TestSeasonalProcess:

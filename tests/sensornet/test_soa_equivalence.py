@@ -8,13 +8,20 @@ salience subclasses) must fall back to the naive step and still benefit
 from the batched field without a single float moving.
 """
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.attention import (FullAttention, RandomAttention,
                                   RoundRobinAttention, SalienceAttention)
+from repro.envgen.processes import BoundedRandomWalk
 from repro.sensornet.field import ChannelField, mixed_channel_specs
 from repro.sensornet.node import SensingNode
+from repro.sensornet.soa import step_walks_batched
 
 
 def _policy(name, seed):
@@ -111,3 +118,90 @@ class TestBatchedFieldEquivalence:
             f.step()
         assert [fast.truth(n) for n in fast.names()] \
             == [naive.truth(n) for n in naive.names()]
+
+
+def _numpy_step_walks(walks, rng):
+    """All-numpy reference for ``step_walks_batched``: parameter
+    columns via ``np.fromiter``, one batched draw, then an elementwise
+    update and array ``np.clip``."""
+    k = len(walks)
+    cur = np.fromiter((w.current for w in walks), np.float64, count=k)
+    mean = np.fromiter((w.mean for w in walks), np.float64, count=k)
+    rev = np.fromiter((w.reversion for w in walks), np.float64, count=k)
+    sigma = np.fromiter((w.sigma for w in walks), np.float64, count=k)
+    lo = np.fromiter((w.lo for w in walks), np.float64, count=k)
+    hi = np.fromiter((w.hi for w in walks), np.float64, count=k)
+    z = rng.normal(0.0, sigma)
+    with np.errstate(invalid="ignore"):  # an infinite walk turns NaN
+        new = np.clip(cur + rev * (mean - cur) + z, lo, hi).tolist()
+    for w, v in zip(walks, new):
+        w.current = v
+
+
+def _same(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+# Walk parameters.  Bounds are normalised to +0.0: array ``np.clip``
+# maps +0.0 onto a -0.0 bound where the scalar clamp (and the scalar
+# ``BoundedRandomWalk.step``) keeps +0.0 -- see the scalar-loop test
+# below, which does cover signed-zero bounds.
+_BOUND = st.floats(-5.0, 5.0).map(lambda x: x + 0.0)
+_START = st.one_of(st.floats(-5.0, 5.0),
+                   st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                    math.nan]))
+_WALK = st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 1.0),
+                  st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                  _BOUND, _BOUND, _START)
+
+
+def _walks(params, seed):
+    rng = np.random.default_rng(seed)
+    walks = []
+    for mean, rev, sigma, a, b, start in params:
+        lo, hi = min(a, b), max(a, b)
+        if not lo < hi:
+            hi = lo + 1.0
+        walk = BoundedRandomWalk(mean=mean, reversion=rev, sigma=sigma,
+                                 lo=lo, hi=hi, start=0.0, rng=rng)
+        walk.current = start
+        walks.append(walk)
+    return walks, rng
+
+
+class TestStepWalksBatchedProperties:
+    @given(st.lists(_WALK, min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_numpy_formulation(self, params, seed):
+        ours, ours_rng = _walks(params, seed)
+        ref, ref_rng = _walks(params, seed)
+        for _ in range(4):
+            step_walks_batched(ours, ours_rng)
+            _numpy_step_walks(ref, ref_rng)
+            assert all(_same(a.current, b.current)
+                       for a, b in zip(ours, ref))
+            assert all(type(a.current) is float for a in ours)
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0),
+                              st.floats(0.0, 0.5),
+                              st.sampled_from([-1.0, -0.0, 0.0]),
+                              st.sampled_from([0.0, -0.0, 1.0]), _START),
+                    min_size=1, max_size=20),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_step_loop(self, params, seed):
+        """Signed-zero bounds included: the batch is the scalar
+        ``BoundedRandomWalk.step`` loop, draw for draw."""
+        ours, ours_rng = _walks(params, seed)
+        ref, ref_rng = _walks(params, seed)
+        for _ in range(4):
+            step_walks_batched(ours, ours_rng)
+            for w in ref:
+                w.step()
+            assert all(_same(a.current, b.current)
+                       for a, b in zip(ours, ref))
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state

@@ -29,6 +29,8 @@ class TestEnvelopes:
         assert ErrorCode.BAD_REQUEST not in RETRYABLE
         assert ErrorCode.WRONG_NODE not in RETRYABLE
         assert ErrorCode.UNSUPPORTED_VERSION not in RETRYABLE
+        assert ErrorCode.TOO_LARGE not in RETRYABLE
+        assert ErrorCode.INTERNAL in RETRYABLE
 
     def test_ok_response_stamps_envelope(self):
         assert ok_response({"x": 1}) == {"x": 1, "ok": True,

@@ -268,6 +268,13 @@ class TestErrors:
 
         run(with_server(body))
 
+    def test_unhashable_op_is_a_bad_request(self):
+        async def body(server, client):
+            response = await client.request({"op": ["step"]})
+            assert response["error"]["code"] == "bad_request"
+
+        run(with_server(body))
+
 
 class TestShedding:
     def test_overload_sheds_with_a_shed_code(self):
@@ -388,6 +395,100 @@ class TestSocket:
                 await server.stop()
 
         run(body())
+
+    def test_oversize_line_gets_one_too_large_then_close(self):
+        """A line past the stream limit gets exactly one structured
+        reply, then EOF -- never a silent drop."""
+        async def body():
+            server = make_server(port=0)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                request = {"op": "hello", "pad": "x" * 70_000}
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                response = json.loads(await reader.readline())
+                assert response["ok"] is False
+                assert response["error"]["code"] == "too_large"
+                assert response["error"]["retryable"] is False
+                assert await reader.read() == b""
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+
+        run(body())
+
+    @staticmethod
+    async def _exchange(reader, writer, line: bytes):
+        writer.write(line + b"\n")
+        await writer.drain()
+        return json.loads(await reader.readline())
+
+    def test_bad_frames_get_a_reply_and_the_connection_keeps_serving(self):
+        """An infinite step count (``int(inf)`` raises OverflowError)
+        and JSON nested past the recursion limit are bad requests."""
+        async def body():
+            server = make_server(port=0)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                created = await self._exchange(reader, writer, json.dumps(
+                    {"op": "create", "substrate": "sensornet",
+                     "config": {"steps": 10, "n_channels": 4}}).encode())
+                session = created["session"]
+                infinite = await self._exchange(
+                    reader, writer,
+                    b'{"op": "step", "session": "%s", "n": Infinity}'
+                    % session.encode())
+                assert infinite["error"]["code"] == "bad_request"
+                nested = await self._exchange(reader, writer,
+                                              b"[" * 50_000)
+                assert nested["error"]["code"] == "bad_request"
+                stepped = await self._exchange(reader, writer, json.dumps(
+                    {"op": "step", "session": session, "n": 2}).encode())
+                assert stepped["ok"] and stepped["steps_taken"] == 2
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+
+        run(body())
+
+    def test_unexpected_handler_exception_is_internal(self, caplog):
+        async def body():
+            server = make_server(port=0)
+
+            async def broken(request, now):
+                raise RuntimeError("stats store corrupted")
+
+            server._handlers["stats"] = broken
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                failed = await self._exchange(reader, writer,
+                                              b'{"op": "stats"}')
+                assert failed["ok"] is False
+                assert failed["error"]["code"] == "internal"
+                assert failed["error"]["retryable"] is True
+                assert "stats store corrupted" in failed["error"]["message"]
+                hello = await self._exchange(reader, writer,
+                                             b'{"op": "hello"}')
+                assert hello["ok"] is True
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+
+        with caplog.at_level("ERROR", logger="repro.serve.server"):
+            run(body())
+        [record] = [r for r in caplog.records
+                    if r.name == "repro.serve.server"]
+        assert record.exc_info is not None
+        assert "stats store corrupted" in str(record.exc_info[1])
 
 
 class TestConstruction:
