@@ -531,13 +531,11 @@ class SwarmSimulator:
                  mission_config: Optional[Any] = None,
                  controller: Optional[Any] = None,
                  controller_factory: Optional[Callable[[int], Any]] = None,
-                 use_grid: Optional[bool] = None,
                  faults: Faults = None) -> None:
         self.config = config if config is not None else SwarmConfig()
         self._mission_config = mission_config  # expert: SwarmMissionConfig
         self._controller_given = controller
         self._controller_factory = controller_factory
-        self._use_grid = use_grid
         self._faults = faults
         seed = (mission_config.seed if mission_config is not None
                 else self.config.seed)
@@ -576,7 +574,6 @@ class SwarmSimulator:
                 seed=seed)
         self._mission = SwarmMission(
             self._make_controller(seed), mission_config,
-            use_grid=self._use_grid,
             faults=_resolve_injector(self._faults, seed))
         self._t = 0.0
         return self

@@ -7,11 +7,10 @@ observability emit path), each with warmup and repeated timed runs, and
 reports median / p10 / p90 step rates as machine-readable JSON
 (``repro.bench/v1`` schema).
 
-Where an optimised code path retains its naive reference implementation
-(spatial grid vs full scan, gated vs per-step oracle recomputation,
-memoised vs full-copy window statistics, ...), the harness times both in
-the same run and records the speedup -- so "N x faster than the
-pre-optimisation baseline" is always measured, never remembered.
+Where a kernel is paired with a baseline (the same work with every fault
+window open, say), the harness times both in the same run and records
+the ratio -- so "N x the cost of the baseline" is always measured, never
+remembered.
 
 ``--compare OLD.json --max-regress 10%`` turns the harness into a CI
 regression gate.

@@ -50,7 +50,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--warmup", type=int, default=None,
                         help="warmup steps (default: steps // 4)")
     parser.add_argument("--no-baselines", action="store_true",
-                        help="skip the retained naive reference paths")
+                        help="skip the paired baseline legs")
     parser.add_argument("--compare", metavar="OLD.json", default=None,
                         help="gate against a previous report")
     parser.add_argument("--max-regress", default="10%",
@@ -75,7 +75,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.list:
         for spec in specs:
-            pair = " [paired with naive baseline]" \
+            pair = " [paired with a baseline]" \
                 if spec.baseline_setup is not None else ""
             print(f"{spec.name:<20} {spec.description}{pair}")
         return 0

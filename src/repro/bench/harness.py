@@ -8,10 +8,10 @@ long experiment run would) and then times ``repeats`` back-to-back
 blocks of ``steps`` steps on the same live state, reporting step *rates*
 (steps per second) so that bigger is always better.
 
-Specs may also carry a ``baseline_setup`` building the retained naive
-reference implementation of the same kernel; both are measured in the
-same process and the ratio of median rates is the kernel's measured
-speedup.
+Specs may also carry a ``baseline_setup`` building a paired variant of
+the same kernel; both are measured in the same process and the ratio of
+median rates is the kernel's measured speedup over the baseline (the
+``speedup_vs_naive`` field of the report schema).
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def run_spec(spec: KernelSpec, quick: bool = False,
              steps: Optional[int] = None, repeats: int = 5,
              warmup: Optional[int] = None,
              with_baseline: bool = True) -> Dict:
-    """Measure one kernel (and its naive baseline, when retained).
+    """Measure one kernel (and its paired baseline, when it has one).
 
     Returns the kernel's report entry: rate percentiles for the
     optimised path, the same for the baseline when present, the measured

@@ -1,10 +1,10 @@
-"""The named kernels: one per substrate hot path, plus retained baselines.
+"""The named kernels: one per substrate hot path, plus paired baselines.
 
 Every factory builds an isolated simulation (fixed seeds, no shared
-state) and returns a runner ``run(n)`` advancing it ``n`` steps.  Where
-this PR's optimisation pass kept the naive reference implementation
-(module flags or constructor parameters), the kernel also carries a
-``baseline_setup`` so the speedup is measured inside the same run.
+state) and returns a runner ``run(n)`` advancing it ``n`` steps.  The
+fault kernels also carry a ``baseline_setup`` -- the same work under a
+different fault plan -- so the cost of open fault windows is measured
+inside the same run.
 """
 
 from __future__ import annotations
@@ -16,40 +16,26 @@ import numpy as np
 from .harness import KernelSpec, StepRunner
 
 
-def _camera_setup(optimised: bool, rows: int = 7, cols: int = 7,
-                  radius: float = 0.28, n_objects: int = 48) -> StepRunner:
-    from ..learning import bandits
+def _camera_setup(rows: int = 7, cols: int = 7, radius: float = 0.28,
+                  n_objects: int = 48) -> StepRunner:
     from ..smartcamera.controller import SelfAwareStrategyController
     from ..smartcamera.sim import CameraSimConfig, CameraSimulation
 
     # A larger deployment than the E2 table (49 cameras, 48 objects at
-    # the default tier): the index-vs-scan gap is an asymptotic one, so
-    # the kernel measures it at the scale where camera networks actually
-    # hurt.  The large tier scales the radius with the grid pitch so the
-    # coverage *density* stays constant -- otherwise every camera sees
-    # every point and the candidate index has nothing to prune.
+    # the default tier): the candidate index's advantage is asymptotic,
+    # so the kernel measures it at the scale where camera networks
+    # actually hurt.  The large tier scales the radius with the grid
+    # pitch so the coverage *density* stays constant -- otherwise every
+    # camera sees every point and the candidate index has nothing to
+    # prune.
     config = CameraSimConfig(rows=rows, cols=cols, radius=radius,
                              n_objects=n_objects,
                              object_speed=0.035, detection_rate=0.08,
                              random_placement=True, seed=0)
-    # Bandits capture the fast/numpy flag at construction; pin it so the
-    # baseline run really is the pre-optimisation controller stack.
-    prev = bandits.USE_FAST_BANDIT
-    bandits.USE_FAST_BANDIT = optimised
-    try:
-        sim = CameraSimulation(
-            config,
-            controller_factory=lambda cid, rng: SelfAwareStrategyController(
-                cid, epsilon=0.05, rng=rng),
-            fast=optimised)
-    finally:
-        bandits.USE_FAST_BANDIT = prev
-    if not optimised:
-        # Rebuild the network's index-free, columns-free variant over
-        # the same cameras.
-        from ..smartcamera.network import CameraNetwork
-        sim.network = CameraNetwork(list(sim.network.cameras.values()),
-                                    use_grid=False, fast=False)
+    sim = CameraSimulation(
+        config,
+        controller_factory=lambda cid, rng: SelfAwareStrategyController(
+            cid, epsilon=0.05, rng=rng))
     t = 0.0
 
     def run(n: int) -> None:
@@ -61,15 +47,14 @@ def _camera_setup(optimised: bool, rows: int = 7, cols: int = 7,
     return run
 
 
-def _observers_setup(optimised: bool) -> StepRunner:
+def _observers_setup() -> StepRunner:
     from ..smartcamera.network import CameraNetwork
     from ..smartcamera.objects import ObjectPopulation
 
-    # The pure observer sweep: who sees each object right now?  This is
-    # the O(cameras x objects) visibility scan the indexed scans replace,
-    # measured without the auction/learning machinery around it.
-    network = CameraNetwork.random(64, radius=0.2, seed=11,
-                                   use_grid=optimised, fast=optimised)
+    # The pure observer sweep: who sees each object right now?  The
+    # indexed visibility scan, measured without the auction/learning
+    # machinery around it.
+    network = CameraNetwork.random(64, radius=0.2, seed=11)
     population = ObjectPopulation(48, speed=0.02,
                                   rng=np.random.default_rng(11))
     observers = network.observers
@@ -83,7 +68,7 @@ def _observers_setup(optimised: bool) -> StepRunner:
     return run
 
 
-def _swarm_setup(fast: bool, n_robots: int = 32,
+def _swarm_setup(n_robots: int = 32,
                  events_per_step: float = 8.0) -> StepRunner:
     from ..swarm.robots import SelfAwareSwarm
     from ..swarm.sim import SwarmMission, SwarmMissionConfig
@@ -91,10 +76,10 @@ def _swarm_setup(fast: bool, n_robots: int = 32,
     # Larger than the E12 mission (32 robots, 8 events/step) so the
     # O(robots x memory x alive) attribution cost is the dominant term,
     # as it is on long real missions.
-    controller = SelfAwareSwarm(rng=np.random.default_rng(7), fast=fast)
+    controller = SelfAwareSwarm(rng=np.random.default_rng(7))
     config = SwarmMissionConfig(n_robots=n_robots, steps=300,
                                 events_per_step=events_per_step, seed=0)
-    mission = SwarmMission(controller, config, use_grid=fast)
+    mission = SwarmMission(controller, config)
     t = 0.0
 
     def run(n: int) -> None:
@@ -106,7 +91,7 @@ def _swarm_setup(fast: bool, n_robots: int = 32,
     return run
 
 
-def _cpn_setup(gated: bool, n: int = 30) -> StepRunner:
+def _cpn_setup(n: int = 30) -> StepRunner:
     from ..cpn.routing import OracleRouter
     from ..cpn.sim import default_flows, routing_step
     from ..cpn.topology import CPNetwork
@@ -116,12 +101,12 @@ def _cpn_setup(gated: bool, n: int = 30) -> StepRunner:
     # Keep the disturbance *population* (the router still scans the
     # schedule every step) but displace every window far past the timed
     # run: each step then takes the same code path -- the change-gated
-    # fast path vs the unconditional re-route -- instead of mixing
-    # cheap quiet steps with expensive in-window ones, which made the
-    # kernel's measured spread ~1.9x and impossible to gate on.
+    # cached tables -- instead of mixing cheap quiet steps with
+    # expensive in-window ones, which made the kernel's measured spread
+    # ~1.9x and impossible to gate on.
     for disturbance in network.disturbances:
         disturbance.start += 1e9
-    router = OracleRouter(network, gated=gated)
+    router = OracleRouter(network)
     flows = default_flows(network, n_flows=6, seed=3)
     t = 0.0
 
@@ -187,17 +172,15 @@ def _cloud_setup(base_rate: float = 60.0, max_servers: int = 40,
     return run
 
 
-def _sensornet_setup(fast: bool = True, n_channels: int = 8,
-                     budget: float = 3.0) -> StepRunner:
+def _sensornet_setup(n_channels: int = 8, budget: float = 3.0) -> StepRunner:
     from ..core.attention import SalienceAttention
     from ..sensornet.field import ChannelField, mixed_channel_specs
     from ..sensornet.node import SensingNode
 
     field = ChannelField(mixed_channel_specs(n_channels, seed=5),
-                         rng=np.random.default_rng(5), fast=fast)
+                         rng=np.random.default_rng(5))
     node = SensingNode(field, SalienceAttention(staleness_scale=1.0),
-                       budget=budget, rng=np.random.default_rng(15),
-                       fast=fast)
+                       budget=budget, rng=np.random.default_rng(15))
     t = 0.0
 
     def run(n: int) -> None:
@@ -245,8 +228,8 @@ def _fault_hooks_setup(active: bool) -> StepRunner:
 
     # One spec of every kind.  The *optimised* leg (``active=False``)
     # schedules every window after the run ends, so each hook takes its
-    # identity short-circuit -- the retained fast path substrates pay on
-    # every step of an unfaulted window, which is what the dormant-hook
+    # identity short-circuit -- what substrates pay on every step of an
+    # unfaulted window, which is what the dormant-hook
     # optimisation bought.  The *baseline* keeps every window open for
     # the whole run: the full per-kind sampling cost the short-circuit
     # avoids.  (Earlier reports had this pairing inverted, reporting the
@@ -537,35 +520,31 @@ def _twin_replay_setup(ticks: int = 65_536) -> StepRunner:
 KERNELS: List[KernelSpec] = [
     KernelSpec(
         name="camera.step",
-        setup=lambda: _camera_setup(True),
-        baseline_setup=lambda: _camera_setup(False),
+        setup=_camera_setup,
         # Longer windows than most kernels: per-step cost rides the
         # auction/handover waves (+-10% over ~100-step stretches), so
         # short windows sample the waves instead of averaging them.
         steps=600, quick_steps=120,
         description="Smart-camera network step (struct-of-arrays "
-                    "auction and observer scans vs object-graph walk)"),
+                    "auction and observer scans)"),
     KernelSpec(
         name="camera.observers",
-        setup=lambda: _observers_setup(True),
-        baseline_setup=lambda: _observers_setup(False),
+        setup=_observers_setup,
         steps=400, quick_steps=80,
-        description="Observer sweep over the whole population (spatial "
-                    "grid vs O(cameras x objects) scan)"),
+        description="Observer sweep over the whole population (cell "
+                    "index + exact predicate)"),
     KernelSpec(
         name="swarm.step",
-        setup=lambda: _swarm_setup(True),
-        baseline_setup=lambda: _swarm_setup(False),
+        setup=_swarm_setup,
         steps=300, quick_steps=60,
         description="Swarm coverage step (witness grid + bounded "
-                    "attribution vs full pairwise scans)"),
+                    "attribution)"),
     KernelSpec(
         name="cpn.step",
-        setup=lambda: _cpn_setup(True),
-        baseline_setup=lambda: _cpn_setup(False),
+        setup=_cpn_setup,
         steps=600, quick_steps=120,
-        description="CPN routing step under the oracle router "
-                    "(change-gated vs per-step Dijkstra)"),
+        description="CPN routing step under the change-gated oracle "
+                    "router"),
     KernelSpec(
         name="multicore.step",
         setup=_multicore_setup,
@@ -579,11 +558,10 @@ KERNELS: List[KernelSpec] = [
         description="Cloud autoscaler step (decide / scale / serve)"),
     KernelSpec(
         name="sensornet.step",
-        setup=lambda: _sensornet_setup(True),
-        baseline_setup=lambda: _sensornet_setup(False),
+        setup=_sensornet_setup,
         steps=600, quick_steps=120,
-        description="Sensing node step (batched field + column salience "
-                    "vs per-scope dict walks)"),
+        description="Sensing node step (batched field + column "
+                    "salience)"),
     KernelSpec(
         name="node.step",
         setup=_node_setup,
@@ -657,35 +635,28 @@ KERNELS: List[KernelSpec] = [
         description="Digital-twin serve tick replaying a recorded trace "
                     "(workload lookup, admission, drain, governor)"),
     # -- large tier: the same kernels at ~10x the work per step, where
-    # the index-vs-scan asymptotics actually separate the paths.  Step
-    # counts shrink to keep per-repeat wall time comparable.
+    # the indexed scans' asymptotics show.  Step counts shrink to keep
+    # per-repeat wall time comparable.
     KernelSpec(
         name="camera.step.large",
-        setup=lambda: _camera_setup(True, rows=14, cols=14, radius=0.14,
+        setup=lambda: _camera_setup(rows=14, cols=14, radius=0.14,
                                     n_objects=120),
-        baseline_setup=lambda: _camera_setup(False, rows=14, cols=14,
-                                             radius=0.14, n_objects=120),
         steps=120, quick_steps=24, tier="large",
         description="Smart-camera step at 196 cameras x 120 objects "
                     "(constant coverage density: radius 0.14)"),
     KernelSpec(
         name="sensornet.step.large",
-        setup=lambda: _sensornet_setup(True, n_channels=64, budget=24.0),
-        baseline_setup=lambda: _sensornet_setup(False, n_channels=64,
-                                                budget=24.0),
+        setup=lambda: _sensornet_setup(n_channels=64, budget=24.0),
         steps=300, quick_steps=60, tier="large",
         description="Sensing node step at 64 channels, budget 24"),
     KernelSpec(
         name="swarm.step.large",
-        setup=lambda: _swarm_setup(True, n_robots=64, events_per_step=12.0),
-        baseline_setup=lambda: _swarm_setup(False, n_robots=64,
-                                            events_per_step=12.0),
+        setup=lambda: _swarm_setup(n_robots=64, events_per_step=12.0),
         steps=60, quick_steps=12, tier="large",
         description="Swarm coverage step at 64 robots, 12 events/step"),
     KernelSpec(
         name="cpn.step.large",
-        setup=lambda: _cpn_setup(True, n=120),
-        baseline_setup=lambda: _cpn_setup(False, n=120),
+        setup=lambda: _cpn_setup(n=120),
         steps=60, quick_steps=12, tier="large",
         description="CPN routing step on a 120-node geometric network"),
     KernelSpec(

@@ -19,7 +19,7 @@ Report layout::
           "calibration_rate": ...,  # host-speed sample taken next to
                                     # this kernel's timed windows
 
-          "baseline": { ...same rate fields for the naive path... },
+          "baseline": { ...same rate fields for the paired baseline... },
           "speedup_vs_naive": ...
         }, ...
       }

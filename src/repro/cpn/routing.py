@@ -91,30 +91,26 @@ class OracleRouter(Router):
     """Recomputes true shortest paths when link state changes.
 
     Still the omniscient upper bound: routes are always shortest paths
-    on the *current* true delays.  With ``gated=True`` (the default) the
-    Dijkstra tables are recomputed only when the network's
+    on the *current* true delays.  The Dijkstra tables are recomputed
+    only when the network's
     :meth:`~repro.cpn.topology.CPNetwork.dynamics_signature` actually
     changed -- between change points the true delays are constant, so
     the cached tables are exactly what a fresh recomputation would
-    produce.  ``gated=False`` restores the recompute-every-step
-    reference behaviour (used by the equivalence tests and the
-    ``repro.bench`` baseline).
+    produce.
     """
 
-    def __init__(self, network: CPNetwork, gated: bool = True) -> None:
+    def __init__(self, network: CPNetwork) -> None:
         self._network = network
-        self._gated = gated
         self._tables: Dict[int, Dict[int, int]] = {}
         self._tables_time = -1.0
         self._signature: Optional[Tuple] = None
 
     def new_step(self, t: float) -> None:
-        if self._gated:
-            signature = self._network.dynamics_signature(t)
-            if signature == self._signature and self._tables_time >= 0.0:
-                self._tables_time = t
-                return
-            self._signature = signature
+        signature = self._network.dynamics_signature(t)
+        if signature == self._signature and self._tables_time >= 0.0:
+            self._tables_time = t
+            return
+        self._signature = signature
         self._tables = {}
         self._tables_time = t
 

@@ -7,7 +7,7 @@ point?".  Naively both are O(discs x points) scans; :class:`SpatialGrid`
 answers them from a uniform hash grid in near-constant time per query
 while returning *exactly* the same candidates a full scan would accept
 -- callers re-check candidates with the original exact predicate, so
-optimised paths stay byte-identical to the naive references.
+indexed queries stay byte-identical to full scans.
 """
 
 from .exact import EXACT_REL, PREFILTER_SLACK, prefilter_limit_sq

@@ -18,16 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-#: Default for the pure-python :class:`EpsilonGreedy` internals.  Arm
-#: counts are tiny (a handful of strategies), where numpy's per-call
-#: dispatch overhead dwarfs the arithmetic; plain lists are several
-#: times faster.  Each instance captures the flag at construction; the
-#: numpy reference path is retained (``fast=False``) for equivalence
-#: tests and the ``repro.bench`` baselines.  Both paths perform the same
-#: IEEE-double operations, draw from the RNG identically and break
-#: argmax ties toward the first maximum, so decisions are identical.
-USE_FAST_BANDIT = True
-
 
 class BanditPolicy(ABC):
     """Chooses among ``n_arms`` discrete options from reward feedback."""
@@ -63,11 +53,14 @@ class EpsilonGreedy(BanditPolicy):
     discount:
         Per-update multiplicative decay applied to accumulated counts and
         value estimates of *all* arms; ``1.0`` is the stationary estimator.
+
+    Counts and values are plain lists: arm counts are tiny (a handful of
+    strategies), where numpy's per-call dispatch overhead dwarfs the
+    arithmetic.  Argmax ties break toward the first maximum.
     """
 
     def __init__(self, n_arms: int, epsilon: float = 0.1, discount: float = 1.0,
-                 rng: Optional[np.random.Generator] = None,
-                 fast: Optional[bool] = None) -> None:
+                 rng: Optional[np.random.Generator] = None) -> None:
         super().__init__(n_arms)
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
@@ -76,44 +69,31 @@ class EpsilonGreedy(BanditPolicy):
         self.epsilon = epsilon
         self.discount = discount
         self._rng = rng if rng is not None else np.random.default_rng()
-        self._fast = USE_FAST_BANDIT if fast is None else fast
-        if self._fast:
-            self._counts = [0.0] * n_arms
-            self._values = [0.0] * n_arms
-        else:
-            self._counts = np.zeros(n_arms)
-            self._values = np.zeros(n_arms)
+        self._counts = [0.0] * n_arms
+        self._values = [0.0] * n_arms
 
     def select(self) -> int:
         if self._rng.random() < self.epsilon:
             return int(self._rng.integers(self.n_arms))
-        if self._fast:
-            counts = self._counts
-            for i in range(self.n_arms):
-                if counts[i] == 0.0:
-                    return i
-            values = self._values
-            best, best_value = 0, values[0]
-            for i in range(1, self.n_arms):
-                if values[i] > best_value:
-                    best, best_value = i, values[i]
-            return best
-        never_pulled = np.flatnonzero(self._counts == 0)
-        if never_pulled.size:
-            return int(never_pulled[0])
-        return int(np.argmax(self._values))
+        counts = self._counts
+        for i in range(self.n_arms):
+            if counts[i] == 0.0:
+                return i
+        values = self._values
+        best, best_value = 0, values[0]
+        for i in range(1, self.n_arms):
+            if values[i] > best_value:
+                best, best_value = i, values[i]
+        return best
 
     def update(self, arm: int, reward: float) -> None:
         self._check_arm(arm)
         self.total_pulls += 1
-        if self._fast:
-            if self.discount < 1.0:
-                counts = self._counts
-                discount = self.discount
-                for i in range(self.n_arms):
-                    counts[i] *= discount
-        elif self.discount < 1.0:
-            self._counts *= self.discount
+        if self.discount < 1.0:
+            counts = self._counts
+            discount = self.discount
+            for i in range(self.n_arms):
+                counts[i] *= discount
         self._counts[arm] += 1.0
         step = 1.0 / self._counts[arm]
         self._values[arm] += step * (reward - self._values[arm])

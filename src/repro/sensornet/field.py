@@ -18,16 +18,6 @@ import numpy as np
 from ..envgen.processes import BoundedRandomWalk
 from .soa import step_walks_batched
 
-#: Default for the batched channel stepping (see
-#: :func:`repro.sensornet.soa.step_walks_batched`: one ``normal`` draw
-#: for every channel, then each walk's mean-reversion update and clamp
-#: in Python floats).  The per-walk scalar loop is retained as the
-#: reference; the batched draw consumes the shared generator
-#: bit-identically, so both paths produce the same signals and leave
-#: the RNG in the same state.  Forced off by
-#: ``REPRO_FORCE_NAIVE=1`` in the test harness.
-USE_FAST_FIELD = True
-
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -77,8 +67,7 @@ class ChannelField:
     """The evolving hidden truth behind every channel."""
 
     def __init__(self, specs: Sequence[ChannelSpec],
-                 rng: Optional[np.random.Generator] = None,
-                 fast: Optional[bool] = None) -> None:
+                 rng: Optional[np.random.Generator] = None) -> None:
         if not specs:
             raise ValueError("need at least one channel")
         names = [s.name for s in specs]
@@ -96,19 +85,22 @@ class ChannelField:
         # just above), which is what lets one batched draw replace the
         # per-walk scalar draws bit-identically.
         self._walks = list(self._signals.values())
-        self._fast = fast if fast is not None else USE_FAST_FIELD
 
     def names(self) -> List[str]:
         """Channel names, in spec order."""
         return list(self.specs)
 
     def step(self) -> None:
-        """Advance every hidden signal one step."""
-        if self._fast:
-            step_walks_batched(self._walks, self._rng)
-            return
-        for signal in self._signals.values():
-            signal.step()
+        """Advance every hidden signal one step.
+
+        One batched ``normal`` draw for every channel, then each walk's
+        mean-reversion update and clamp in Python floats (see
+        :func:`repro.sensornet.soa.step_walks_batched`): the same
+        signals, and the same generator state, as stepping each walk's
+        own scalar :meth:`~repro.envgen.processes.BoundedRandomWalk.step`
+        in spec order.
+        """
+        step_walks_batched(self._walks, self._rng)
 
     def truth(self, name: str) -> float:
         """Current hidden value of ``name``."""

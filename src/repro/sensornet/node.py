@@ -29,16 +29,6 @@ from ..core.spans import public
 from .field import ChannelField
 from .soa import NodeColumns
 
-#: Default for the struct-of-arrays node step (see
-#: :mod:`repro.sensornet.soa`).  The scalar step is retained verbatim as
-#: :meth:`SensingNode._step_naive` -- the reference for the equivalence
-#: tests and the ``repro.bench`` baseline, and the only path taken under
-#: fault injection, for attention policies the columns don't model, or
-#: without numpy.  Both paths produce byte-identical records and leave
-#: every RNG in the same stream position.  Forced off by
-#: ``REPRO_FORCE_NAIVE=1`` in the test harness.
-USE_FAST_SENSORNET = True
-
 
 @dataclass(slots=True)
 class SensingStepRecord:
@@ -76,19 +66,17 @@ class SensingNode:
     def __init__(self, field: ChannelField, attention: AttentionPolicy,
                  budget: float,
                  rng: Optional[np.random.Generator] = None,
-                 faults: Optional["FaultInjector"] = None,
-                 fast: Optional[bool] = None) -> None:
+                 faults: Optional["FaultInjector"] = None) -> None:
         if budget <= 0:
             raise ValueError("budget must be positive")
         self.field = field
         self.attention = attention
         self.budget = budget
         self.faults = faults
-        # The fast step models exactly SalienceAttention's scoring (a
+        # The column step models exactly SalienceAttention's scoring (a
         # subclass could override salience(), so `type is` not
-        # isinstance); anything else keeps the naive path.
-        self._fast = ((fast if fast is not None else USE_FAST_SENSORNET)
-                      and type(attention) is SalienceAttention)
+        # isinstance); any other policy is asked through its own select().
+        self._columns_step = type(attention) is SalienceAttention
         self._cols: Optional[NodeColumns] = None
         self.knowledge = KnowledgeBase()
         rng = rng if rng is not None else np.random.default_rng()
@@ -122,24 +110,19 @@ class SensingNode:
         policy sees (staleness misjudged) and drop selected samples
         before they are taken (the channel read fails this step).
         """
-        if self._fast and self.faults is None:
-            return self._step_fast(t)
-        return self._step_naive(t)
-
-    def _step_naive(self, t: float) -> SensingStepRecord:
-        """The retained scalar step (reference path).
-
-        This is the original implementation, the semantics the fast
-        path must reproduce byte-for-byte; it also remains the only
-        path that understands fault injection and non-salience
-        attention policies.
-        """
         self.field.step()
         faults = self.faults
         attend_t = t
         if faults is not None:
             faults.begin_step(t)
             attend_t = faults.perceived_time(t, target="attention")
+        if self._columns_step:
+            return self._step_columns(t, attend_t)
+        return self._step_policy(t, attend_t)
+
+    def _step_policy(self, t: float, attend_t: float) -> SensingStepRecord:
+        """The step for any attention policy: ask it what to sample."""
+        faults = self.faults
         scopes = self.attention.select(self.suite, self.knowledge, attend_t,
                                        self.budget)
         if faults is not None:
@@ -152,7 +135,7 @@ class SensingNode:
 
     def _finish_step(self, t: float, error: float, spent: float,
                      n_readings: int) -> SensingStepRecord:
-        """Shared step tail: observability and the step record."""
+        """Step tail: observability and the step record."""
         if obs_events.enabled():
             obs_metrics.counter("steps", sim="sensornet").increment()
             obs_metrics.counter("sensornet.energy_spent").increment(spent)
@@ -164,23 +147,23 @@ class SensingNode:
         return SensingStepRecord(time=t, error=error, energy_spent=spent,
                                  channels_sampled=n_readings)
 
-    def _step_fast(self, t: float) -> SensingStepRecord:
-        """Struct-of-arrays step, byte-identical to :meth:`_step_naive`.
+    def _step_columns(self, t: float, attend_t: float) -> SensingStepRecord:
+        """Struct-of-arrays step for a plain :class:`SalienceAttention`.
 
-        Taken only for a plain :class:`SalienceAttention` with no fault
-        injector.  Salience scoring, budget fitting and error scoring
-        run over pre-resolved per-channel columns (no ``Scope`` hashing
-        in the per-channel loops); the chosen sensors are still sampled
-        one by one through :meth:`~repro.core.sensors.Sensor.sample`
-        (each owns its RNG stream) and recorded through the shared
-        knowledge base, so all visible state -- beliefs, histories,
-        sensor counters, RNG positions -- matches the naive path
-        exactly.
+        Byte-identical to :meth:`_step_policy` with the same policy:
+        salience scoring, budget fitting and error scoring run over
+        pre-resolved per-channel columns (no ``Scope`` hashing in the
+        per-channel loops); the chosen sensors are still sampled one by
+        one through :meth:`~repro.core.sensors.Sensor.sample` (each owns
+        its RNG stream) and recorded through the shared knowledge base,
+        so all visible state -- beliefs, histories, sensor counters, RNG
+        positions -- is what the policy's own ``select()`` would leave.
+        Staleness is judged at the perceived time ``attend_t``; dropped
+        samples are filtered in selection order.
         """
         cols = self._cols
         if cols is None:
             cols = self._cols = NodeColumns(self)
-        self.field.step()
         att = self.attention
         kb = self.knowledge
         k = cols.k
@@ -212,11 +195,11 @@ class SensingNode:
                 vol = hist.std(window)
                 if math.isnan(vol):
                     vol = 0.0
-                stale = max(0.0, t - hist.latest.time)
+                stale = max(0.0, attend_t - hist.latest.time)
                 sal = rel * (vol + 1e-3) * math.sqrt(stale / scale)
             cost = costs[i]
             density[i] = sal / cost if cost > 0 else math.inf
-        # Stable descending sort over scope order == the naive
+        # Stable descending sort over scope order == the policy's
         # sorted(scopes, key=value_density, reverse=True).
         order = sorted(range(k), key=density.__getitem__, reverse=True)
 
@@ -229,12 +212,16 @@ class SensingNode:
             if cost == 0.0 or fit_spent + cost <= budget + 1e-12:
                 chosen.append(i)
                 fit_spent += cost
+        faults = self.faults
+        if faults is not None:
+            chosen = [i for i in chosen
+                      if not faults.dropped(target=scope_list[i].name)]
         # Sample the chosen sensors in selection order, recording valid
         # readings exactly like SensorSuite.sample_into.
         sensors = cols.sensors
         spec_of = cols.spec_of
         belief_vals = cols.belief_vals
-        spent = 0.0
+        spent = 0  # sum()'s start: an all-dropped step spends int 0
         for i in chosen:
             sensor = sensors[i]
             reading = sensor.sample(t)

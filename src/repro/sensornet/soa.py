@@ -24,15 +24,15 @@ RNG draw at a time.  This module flattens both:
   cost / history references resolved once (histories lazily, as the
   knowledge base creates them), the scope-order -> spec-order
   permutation, spec-ordered walk references and importance weights, and
-  the running believed value per channel.  The node's fast step uses
+  the running believed value per channel.  The node's column step uses
   these to run salience scoring, budget fitting and error scoring
   without any ``Scope`` hashing in the per-channel loops, while still
   writing every observation through the shared
   :class:`~repro.core.knowledge.KnowledgeBase` so the node's visible
-  state is identical to the naive path's.
+  state is identical to what the policy's own ``select()`` leaves.
 
-For every attention policy the columns don't model, callers keep the
-retained naive path.
+Every attention policy the columns don't model takes the node's policy
+step instead.
 """
 
 from __future__ import annotations
@@ -97,19 +97,19 @@ class NodeColumns:
         self.walks = [field._signals[name] for name in field.specs]
         self.importances: List[float] = [
             spec.importance for spec in field.specs.values()]
-        # The naive objective recomputes sum(importances) every step;
+        # ChannelField.weighted_error recomputes sum(importances) per call;
         # the specs are frozen, so the left-fold is the same float once.
         total = 0.0
         for w in self.importances:
             total += w
         self.total_weight = total
         # Resolved lazily: the knowledge base owns History creation (on
-        # first observation), and the fast path must share its objects.
+        # first observation), and the column step must share its objects.
         self.histories: List[Optional[object]] = [None] * self.k
         # Believed value per *spec-order* channel; None where the node
         # has no (finite) belief, mirroring KnowledgeBase.value()'s NaN
         # default.  Seeded from the knowledge base so columns built
-        # after earlier naive steps start consistent.
+        # after earlier observations start consistent.
         self.belief_vals: List[Optional[float]] = [None] * self.k
         for i, scope in enumerate(self.scopes):
             value = node.knowledge.value(scope)

@@ -192,6 +192,20 @@ class SimulationServer:
         return self
 
     async def stop(self) -> None:
+        """Stop serving without stranding a request.
+
+        The listener stops accepting connections first; every step
+        already queued is then run through the dispatcher and answered
+        before the background loops are cancelled.  The queue is
+        detached in the same turn the drain completes, so a step that
+        arrives later fails with ``internal`` instead of waiting on a
+        batch loop that no longer runs.
+        """
+        if self._server is not None:
+            self._server.close()
+        if self._queue is not None and self._tasks:
+            await self._queue.join()
+        self._queue = None
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:
@@ -201,7 +215,6 @@ class SimulationServer:
                 pass
         self._tasks = []
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
             self._server = None
         if self.explain_store is not None:
@@ -246,10 +259,30 @@ class SimulationServer:
                 pass
 
     async def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Handle one request dict; the socket and in-process entry point."""
+        """Handle one request dict; the socket and in-process entry point.
+
+        Every reply -- success, refusal or failure -- leaves through the
+        one ``serve.request`` event (when telemetry is on), carrying
+        ``ok`` and the error ``code`` (``None`` when ok).
+        """
         t0 = self._clock()
         self.requests_seen += 1
         self._window_requests += 1
+        response = await self._respond(request, t0)
+        if obs_events.enabled():
+            error = response.get("error")
+            op = request.get("op")
+            obs_events.emit("serve.request",
+                            op=op if isinstance(op, str) else None,
+                            seconds=self._clock() - t0,
+                            ok=bool(response.get("ok")),
+                            code=error["code"] if error else None, t=t0,
+                            session=request.get("session"))
+        return response
+
+    async def _respond(self, request: Dict[str, Any],
+                       t0: float) -> Dict[str, Any]:
+        """The reply to one request; handled requests count as completed."""
         version_error = check_version(request)
         if version_error is not None:
             return version_error
@@ -293,9 +326,6 @@ class SimulationServer:
         self._window_completions += 1
         if obs_events.enabled():
             obs_metrics.histogram("serve.request_seconds").observe(elapsed)
-            obs_events.emit("serve.request", op=op, seconds=elapsed,
-                            ok=bool(response.get("ok")), t=t0,
-                            session=request.get("session"))
         return response
 
     # -- ops ---------------------------------------------------------------
@@ -345,7 +375,6 @@ class SimulationServer:
         request that waited on the lock behind either finds its session
         gone and fails instead of stepping it.)
         """
-        assert self._queue is not None, "server not started"
         async with session.lock:
             if session.session_id not in self.sessions:
                 raise UnknownSession(session.session_id)
@@ -358,7 +387,9 @@ class SimulationServer:
                                config=session.config,
                                base_steps=session.steps_taken,
                                n_steps=n_steps)
-            await self._queue.put((work, future))
+            if self._queue is None:
+                raise RuntimeError("server is not running")
+            self._queue.put_nowait((work, future))
             result = await future
             session.steps_taken = result["steps_taken"]
             self.sessions.snapshots.put(session.session_id,
@@ -503,14 +534,15 @@ class SimulationServer:
 
     async def _batch_loop(self) -> None:
         """Drain the step queue, coalescing bursts into dispatcher batches."""
-        assert self._queue is not None
+        queue = self._queue
+        assert queue is not None
         loop = asyncio.get_running_loop()
         while True:
             batch: List[Tuple[StepRequest, asyncio.Future]] = [
-                await self._queue.get()]
+                await queue.get()]
             while len(batch) < self.dispatcher.max_batch:
                 try:
-                    batch.append(self._queue.get_nowait())
+                    batch.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
             requests = [work for work, _ in batch]
@@ -529,10 +561,12 @@ class SimulationServer:
                 for _, future in batch:
                     if not future.done():
                         future.set_exception(exc)
-                continue
-            for (_, future), result in zip(batch, results):
-                if not future.done():
-                    future.set_result(result)
+            else:
+                for (_, future), result in zip(batch, results):
+                    if not future.done():
+                        future.set_result(result)
+            for _ in batch:
+                queue.task_done()  # stop() joins the queue
 
     async def _ttl_loop(self) -> None:
         interval = max(0.05, self.sessions.ttl / 4.0)

@@ -34,21 +34,10 @@ import numpy as np
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from .controller import CameraController, strategy_entropy
-from .market import Bid, HandoverMarket
+from .market import HandoverMarket
 from .network import CameraNetwork
 from .objects import ObjectPopulation
 from .soa import best_observer_row_scalar, possible_rows
-from .strategies import Strategy, advertisement_targets, should_auction
-
-#: Default for the struct-of-arrays step (see
-#: :mod:`repro.smartcamera.soa`).  The scalar object-graph step is
-#: retained verbatim as :meth:`CameraSimulation._step_naive` -- it is
-#: the reference for the equivalence tests and the ``repro.bench``
-#: baselines, and the only path taken under fault injection or without
-#: numpy.  Both paths produce byte-identical records and leave the
-#: simulation RNG in the same stream position.  Forced off by
-#: ``REPRO_FORCE_NAIVE=1`` in the test harness.
-USE_FAST_CAMERA = True
 
 
 @dataclass
@@ -169,11 +158,9 @@ class CameraSimulation:
         config: CameraSimConfig,
         controller_factory: Callable[[int, np.random.Generator], CameraController],
         faults: Optional["FaultInjector"] = None,
-        fast: Optional[bool] = None,
     ) -> None:
         self.config = config
         self.faults = faults
-        self._fast = fast if fast is not None else USE_FAST_CAMERA
         self._rng = np.random.default_rng(config.seed)
         if config.random_placement:
             self.network = CameraNetwork.random(
@@ -194,132 +181,9 @@ class CameraSimulation:
         self.records: List[CameraStepRecord] = []
         self._cam_ids = self.network.ids()  # hoisted: ids() copies per call
 
-    def _claim_unowned(self, down=()) -> None:
-        """Unowned objects are re-detected only slowly.
-
-        Without a handover (which transfers the track directly), a lost
-        object must be re-acquired from scratch: per step, the best
-        observer re-detects it only with probability ``detection_rate``.
-        This is the cost of losing a track that makes handover -- and the
-        choice of sociality strategy -- consequential, mirroring the
-        published model where lost objects forfeit tracking utility.
-        Crashed cameras (``down``) cannot claim.
-        """
-        for obj in self.population:
-            if obj.object_id in self.ownership:
-                continue
-            if self._rng.random() >= self.config.detection_rate:
-                continue
-            best = self.network.best_observer(obj)
-            if best is not None and best not in down:
-                self.ownership[obj.object_id] = best
-
-    def step(self, t: float) -> CameraStepRecord:
-        """Run one simulation step; returns the step record."""
-        if self._fast and self.faults is None:
-            return self._step_fast(t)
-        return self._step_naive(t)
-
-    def _step_naive(self, t: float) -> CameraStepRecord:
-        """The retained scalar object-graph step (reference path).
-
-        This is the original implementation, byte-for-byte the semantics
-        the fast path must reproduce; it also remains the only path that
-        understands fault injection (crashes, dropped replies, perturbed
-        bids).
-        """
-        ownership = self.ownership
-        cameras = self.network.cameras
-        faults = self.faults
-        down = ()
-        if faults is not None:
-            faults.begin_step(t)
-            down = faults.crashed_targets(self._cam_ids)
-        churned = self.population.step()
-        for object_id in churned:
-            ownership.pop(object_id, None)
-
-        # Drop ownership of objects the owner can no longer see at all
-        # (or whose owner has crashed: its tracks are simply lost).
-        for obj in self.population:
-            owner = ownership.get(obj.object_id)
-            if owner is not None and (owner in down
-                                      or not cameras[owner].sees(obj)):
-                del ownership[obj.object_id]
-
-        self._claim_unowned(down)
-
-        # Tracking utility accrues to current owners.
-        utility_by_camera: Dict[int, float] = dict.fromkeys(self._cam_ids, 0.0)
-        messages_by_camera: Dict[int, int] = dict.fromkeys(self._cam_ids, 0)
-        total_utility = 0.0
-        # Owner visibility is reused verbatim as the auction reserve
-        # below: positions don't move between the two loops, so caching
-        # here removes a second identical visibility() per owned object.
-        owner_vis: Dict[int, float] = {}
-        for obj in self.population:
-            owner = ownership.get(obj.object_id)
-            if owner is None:
-                continue
-            vis = cameras[owner].visibility(obj)
-            owner_vis[obj.object_id] = vis
-            utility_by_camera[owner] += vis
-            total_utility += vis
-
-        # Strategy choice and handover auctions.  Crashed cameras neither
-        # deliberate nor learn while they are down.
-        strategies: Dict[int, Strategy] = {}
-        for cid, controller in self.controllers.items():
-            if cid in down:
-                continue
-            strategy = controller.choose(t)
-            strategies[cid] = strategy
-            controller.record_usage(strategy)
-
-        handovers = 0
-        network = self.network
-        run_auction = self.market.run_auction
-        auction_threshold = self.config.auction_threshold
-        for obj in self.population:
-            owner = ownership.get(obj.object_id)
-            if owner is None:
-                continue
-            strategy = strategies[owner]
-            own_vis = owner_vis[obj.object_id]
-            if not should_auction(strategy, own_vis, auction_threshold):
-                continue
-            targets = advertisement_targets(strategy, owner, network)
-            messages_by_camera[owner] += len(targets)
-            # Grid-prune the bidder scan: a target outside the candidate
-            # superset has zero visibility and so never bids or replies;
-            # dropping it up front changes nothing but the work done.
-            cand = network.candidate_ids_at(obj.x, obj.y)
-            if cand is not None:
-                targets = [cid for cid in targets if cid in cand]
-            bids = []
-            for cid in targets:
-                if cid in down:
-                    continue  # a crashed camera never replies
-                bid_vis = cameras[cid].visibility(obj)
-                if faults is not None and bid_vis > 0.0:
-                    if faults.dropped(target=cid):
-                        continue  # the bid reply is lost in transit
-                    bid_vis = faults.perturb(bid_vis, target=cid)
-                if bid_vis > 0.0:
-                    messages_by_camera[cid] += 1  # the bid reply
-                    bids.append(Bid(cam_id=cid, amount=bid_vis))
-            outcome = run_auction(
-                obj.object_id, seller=owner, bids=bids, reserve=own_vis)
-            if outcome.sold:
-                ownership[obj.object_id] = outcome.winner
-                handovers += 1
-
-        return self._finish_step(t, down, utility_by_camera,
-                                 messages_by_camera, total_utility, handovers)
-
     def _finish_step(self, t, down, utility_by_camera, messages_by_camera,
                      total_utility, handovers) -> CameraStepRecord:
-        """Shared step tail: reward feedback, record, observability."""
+        """Step tail: reward feedback, record, observability."""
         # Local reward feedback: own utility minus own communication cost,
         # at the price currently in force (goal-awareness of re-pricing).
         comm_weight = self.config.comm_weight_at(t)
@@ -350,25 +214,37 @@ class CameraSimulation:
                             lost=record.lost_objects)
         return record
 
-    def _step_fast(self, t: float) -> CameraStepRecord:
-        """Struct-of-arrays step, byte-identical to :meth:`_step_naive`.
+    def step(self, t: float) -> CameraStepRecord:
+        """Run one simulation step; returns the step record.
 
-        Taken only when ``fast`` is enabled, numpy is importable and no
-        fault injector is attached.  The discipline (see
+        The step runs on struct-of-arrays columns (see
         :mod:`repro.smartcamera.soa`): batched squared distances decide
         only the *certain* cases of each disc predicate; rim-band
         candidates and every escaping float (visibilities, bids,
         utilities) are produced by the exact scalar ``math.hypot``
-        expressions of the naive path, in the same order.  The one RNG
-        consumer in the step, the re-detection gate, draws its
-        per-unowned-object uniforms as one batch -- numpy's Generator
-        yields bit-identical values for ``random(k)`` and ``k``
-        successive ``random()`` calls, so the stream position and every
-        downstream draw match the naive path exactly.
+        expressions, in ascending camera-id order.  The one RNG consumer
+        in the step, the re-detection gate, draws its per-unowned-object
+        uniforms as one batch -- numpy's Generator yields bit-identical
+        values for ``random(k)`` and ``k`` successive ``random()``
+        calls.
+
+        An attached fault injector crashes cameras and corrupts bid
+        replies.  A crashed camera loses its tracks, cannot claim,
+        neither deliberates nor learns, and never replies to an
+        advertisement.  Every other bidder with a positive visibility
+        asks the injector whether its reply is lost and, if not, how its
+        amount is perturbed -- one bidder at a time in ascending id
+        order, so the injector's stream is consumed in a fixed order
+        however the candidate scan is pruned.
         """
         ownership = self.ownership
         config = self.config
         cols = self.network.columns()
+        faults = self.faults
+        down = ()
+        if faults is not None:
+            faults.begin_step(t)
+            down = faults.crashed_targets(self._cam_ids)
         churned = self.population.step()
         for object_id in churned:
             ownership.pop(object_id, None)
@@ -384,14 +260,18 @@ class CameraSimulation:
         cxl, cyl, crl = cols.x_list, cols.y_list, cols.radius_list
         id_list = cols.id_list
 
-        # Drop ownership of objects the owner can no longer see: one
-        # batched gather of owner-object squared distances, with the
-        # rim band re-decided by the exact predicate.
+        # Drop ownership of objects whose owner has crashed (its tracks
+        # are simply lost) or can no longer see them: one batched gather
+        # of owner-object squared distances, with the rim band
+        # re-decided by the exact predicate.
         owned_idx: List[int] = []
         owned_rows: List[int] = []
         for j, oid in enumerate(obj_ids):
             owner = ownership.get(oid)
             if owner is not None:
+                if owner in down:
+                    del ownership[oid]
+                    continue
                 owned_idx.append(j)
                 owned_rows.append(row_of[owner])
         if owned_idx:
@@ -411,10 +291,10 @@ class CameraSimulation:
                 del ownership[obj_ids[owned_idx[k]]]
 
         # Re-detection of unowned objects: batch the per-object uniform
-        # draws (bit-identical to the naive one-at-a-time stream), then
-        # resolve the rare hits with the scalar best-observer scan (one
-        # object at a time is the small-candidate regime where batching
-        # loses).
+        # draws (bit-identical to a one-at-a-time stream), then resolve
+        # the rare hits with the scalar best-observer scan (one object at
+        # a time is the small-candidate regime where batching loses).  A
+        # crashed best observer does not claim.
         unowned = [j for j in range(m) if obj_ids[j] not in ownership]
         if unowned:
             draws = self._rng.random(len(unowned)).tolist()
@@ -423,35 +303,35 @@ class CameraSimulation:
                 if draws[k] >= detection_rate:
                     continue
                 row = best_observer_row_scalar(cols, x_list[j], y_list[j])
-                if row >= 0:
+                if row >= 0 and id_list[row] not in down:
                     ownership[obj_ids[j]] = id_list[row]
 
-        # Strategy choice (no crashes on this path: faults is None),
-        # unpacked once per camera into row-indexed initiative/audience
-        # flags so the per-object auction loop needs no enum dispatch.
-        # The naive path chooses strategies *between* the utility and
-        # auction loops, but choose() reads neither, so hoisting it
-        # changes nothing.
+        # Strategy choice by every live camera, unpacked once per camera
+        # into row-indexed initiative/audience flags so the per-object
+        # auction loop needs no enum dispatch.  choose() reads neither
+        # utilities nor ownership, so it can run before the auctions.
         n = cols.n
         is_active = [False] * n
         is_broadcast = [False] * n
         for cid, controller in self.controllers.items():
+            if cid in down:
+                continue
             strategy = controller.choose(t)
             controller.record_usage(strategy)
             r = row_of[cid]
             is_active[r] = strategy.is_active
             is_broadcast[r] = strategy.is_broadcast
 
-        # Tracking utility and handover auctions in one pass.  The naive
-        # path runs two loops, but an auction only ever reassigns the
-        # auctioned object's *own* ownership entry, so later objects see
-        # exactly the ownership the naive utility loop saw, and every
-        # accumulation (utilities, message counts, market volume)
-        # happens in the same population order.  The auction itself is
-        # the market's Vickrey rule inlined as a running top-two scan
-        # over the ascending-id bids -- same floats, same tie-break
-        # (first strict max = lowest camera id), same market statistics
-        # -- without materialising Bid lists per auction.
+        # Tracking utility and handover auctions in one pass: an auction
+        # only ever reassigns the auctioned object's *own* ownership
+        # entry, so later objects see exactly the ownership a separate
+        # utility pass would, and every accumulation (utilities, message
+        # counts, market volume) happens in population order.  The
+        # auction itself is HandoverMarket.run_auction's Vickrey rule
+        # inlined as a running top-two scan over the ascending-id bids
+        # -- same floats, same tie-break (first strict max = lowest
+        # camera id), same market statistics -- without materialising
+        # Bid lists per auction.
         utility_by_camera: Dict[int, float] = dict.fromkeys(self._cam_ids, 0.0)
         messages_by_camera: Dict[int, int] = dict.fromkeys(self._cam_ids, 0)
         total_utility = 0.0
@@ -487,6 +367,11 @@ class CameraSimulation:
                 if dist > crl[r]:
                     continue  # zero visibility: no bid reply either way
                 bid_vis = 1.0 - dist / crl[r]
+                if faults is not None and bid_vis > 0.0:
+                    cid = id_list[r]
+                    if cid in down or faults.dropped(target=cid):
+                        continue  # crashed, or the reply is lost
+                    bid_vis = faults.perturb(bid_vis, target=cid)
                 if bid_vis > 0.0:
                     messages_by_camera[id_list[r]] += 1  # the bid reply
                     if bid_vis >= own_vis:  # reserve filter
@@ -506,7 +391,7 @@ class CameraSimulation:
             ownership[oid] = id_list[best_row]
             handovers += 1
 
-        return self._finish_step(t, (), utility_by_camera,
+        return self._finish_step(t, down, utility_by_camera,
                                  messages_by_camera, total_utility, handovers)
 
     def run(self) -> CameraSimResult:

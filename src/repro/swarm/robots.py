@@ -29,13 +29,6 @@ import numpy as np
 from . import soa
 from .arena import Event
 
-#: Default for :class:`SelfAwareSwarm`'s ``fast`` parameter: run on the
-#: vectorised struct-of-arrays memory.  The naive object-graph reference
-#: path is retained under ``fast=False`` as the byte-identity baseline;
-#: CI's ``perf-equivalence`` job flips this flag to prove the experiment
-#: tables match under both defaults.
-USE_FAST_SWARM = True
-
 
 @dataclass(slots=True)
 class Robot:
@@ -163,32 +156,24 @@ class SelfAwareSwarm(SwarmController):
         Steps an event is remembered (staleness bound on the structure).
     min_separation:
         Distance below which live peers push apart.
-    fast:
-        Run on the struct-of-arrays memory (:mod:`repro.swarm.soa`):
-        event coordinates in flat columns, per-robot memories as index
-        buffers, batched distance math behind conservative brackets
-        with exact scalar fallbacks.  Defaults to the module flag
-        :data:`USE_FAST_SWARM`.  The naive object-graph reference path
-        is retained under ``fast=False`` for the equivalence tests and
-        the ``repro.bench`` baselines; both produce identical robot
-        trajectories and memories.
+
+    The memory is struct-of-arrays (:mod:`repro.swarm.soa`): event
+    coordinates in flat columns shared by all robots, per-robot
+    memories as index buffers into them, and batched distance math
+    behind conservative brackets with exact scalar fallbacks.
     """
 
     def __init__(self, comm_radius: float = 0.35, memory: int = 120,
                  min_separation: float = 0.2,
-                 rng: Optional[np.random.Generator] = None,
-                 fast: Optional[bool] = None) -> None:
+                 rng: Optional[np.random.Generator] = None) -> None:
         if memory < 1:
             raise ValueError("memory must be at least 1")
         self.comm_radius = comm_radius
         self.memory = memory
         self.min_separation = min_separation
-        self.fast = USE_FAST_SWARM if fast is None else fast
         self._rng = rng if rng is not None else np.random.default_rng()
-        # Naive-path memory: per robot, lists of Event objects.
-        self._events: Dict[int, List[Event]] = {}
-        # Fast-path memory: one SoA table of event coordinates shared by
-        # all robots, plus per-robot index buffers into it.
+        # One SoA table of event coordinates shared by all robots, plus
+        # per-robot index buffers into it.
         self._table = soa.EventTable()
         self._mem: Dict[int, soa.IndexMemory] = {}
         self._arrays = soa.RobotArrays()
@@ -196,15 +181,13 @@ class SelfAwareSwarm(SwarmController):
 
     def known_events(self, robot_id: int) -> List[Event]:
         """The robot's current (pruned) event memory."""
-        if self.fast:
-            memory = self._mem.get(robot_id)
-            if memory is None:
-                return []
-            table = self._table
-            return [table.event(i) for i in memory.indices()]
-        return list(self._events.get(robot_id, []))
+        memory = self._mem.get(robot_id)
+        if memory is None:
+            return []
+        table = self._table
+        return [table.event(i) for i in memory.indices()]
 
-    # -- shared movement law (identical arithmetic on every path) ----------
+    # -- movement law ------------------------------------------------------
 
     def _patrol_target(self, robot: Robot) -> Tuple[float, float]:
         target = self._patrol.get(robot.robot_id)
@@ -216,7 +199,7 @@ class SelfAwareSwarm(SwarmController):
 
     def _separation(self, robot: Robot,
                     alive: Sequence[Robot]) -> Tuple[float, float]:
-        """Short-range separation from live peers only (reference scan)."""
+        """Short-range separation from live peers only (full scan)."""
         sx = sy = 0.0
         min_separation = self.min_separation
         for peer in alive:
@@ -242,7 +225,7 @@ class SelfAwareSwarm(SwarmController):
         clamp only shortens a move).  One inflated squared-distance
         matrix over the start positions therefore yields a guaranteed
         superset of every exact hit for the whole step, in (robot,
-        ascending-peer) order -- the order the reference scan visits.
+        ascending-peer) order -- the order :meth:`_separation` visits.
         """
         smax = max(r.speed for r in alive)
         limit = soa.prefilter_limit_sq(self.min_separation + 2.0 * smax)
@@ -259,7 +242,7 @@ class SelfAwareSwarm(SwarmController):
 
     def _separation_from(self, robot: Robot, alive: Sequence[Robot],
                          candidates: List[int]) -> Tuple[float, float]:
-        """The reference separation scan, restricted to candidates."""
+        """The :meth:`_separation` scan, restricted to candidates."""
         sx = sy = 0.0
         min_separation = self.min_separation
         for j in candidates:
@@ -304,53 +287,7 @@ class SelfAwareSwarm(SwarmController):
                 return True
         return False
 
-    # -- naive reference path (``fast=False``) ------------------------------
-
-    def _share(self, robots: Sequence[Robot],
-               witnessed: Sequence[Tuple[int, Event]]) -> None:
-        """Naive gossip: every pair re-measured per witnessed event."""
-        by_robot = {r.robot_id: r for r in robots}
-        for robot_id, event in witnessed:
-            witness = by_robot[robot_id]
-            self._events.setdefault(robot_id, []).append(event)
-            for peer in robots:
-                if (peer.alive and peer.robot_id != robot_id
-                        and witness.distance_to(peer.x, peer.y)
-                        <= self.comm_radius):
-                    self._events.setdefault(peer.robot_id, []).append(event)
-
-    def _prune(self, now: float) -> None:
-        cutoff = now - self.memory
-        for robot_id, events in self._events.items():
-            self._events[robot_id] = [e for e in events if e.time >= cutoff]
-
-    def _attributed(self, robot: Robot,
-                    alive: Sequence[Robot]) -> List[Event]:
-        """Remembered events for which this robot is the nearest live one."""
-        mine = []
-        for event in self._events.get(robot.robot_id, []):
-            d_self = robot.distance_to(event.x, event.y)
-            closer = any(
-                peer.robot_id != robot.robot_id
-                and peer.distance_to(event.x, event.y) < d_self
-                for peer in alive)
-            if not closer:
-                mine.append(event)
-        return mine
-
-    def _step_naive(self, now: float, robots: Sequence[Robot],
-                    witnessed: Sequence[Tuple[int, Event]]) -> None:
-        self._share(robots, witnessed)
-        self._prune(now)
-        alive = [r for r in robots if r.alive]
-        for index, robot in enumerate(alive):
-            mine = self._attributed(robot, alive)
-            n_mine = len(mine)
-            sum_x = sum(e.x for e in mine)
-            sum_y = sum(e.y for e in mine)
-            self._move_one(robot, index, alive, n_mine, sum_x, sum_y)
-
-    # -- struct-of-arrays fast path (``fast=True``) --------------------------
+    # -- struct-of-arrays memory and attribution ---------------------------
 
     def _mem_for(self, robot_id: int) -> soa.IndexMemory:
         memory = self._mem.get(robot_id)
@@ -380,9 +317,9 @@ class SelfAwareSwarm(SwarmController):
 
         Events are interned into the table once per step; the witness's
         in-range neighbourhood is computed once per witness (positions
-        do not change while sharing).  Index appends happen in the same
-        (witnessed-order, robots-order) sequence as the naive path, so
-        every memory window is identical.
+        do not change while sharing).  Index appends happen in
+        (witnessed-order, robots-order) sequence, the order in which a
+        per-event scan over every robot would append them.
         """
         if not witnessed:
             return
@@ -456,7 +393,8 @@ class SelfAwareSwarm(SwarmController):
         Squared distances are compared under :data:`soa.EXACT_REL`;
         only genuine near-ties (ulp-scale, astronomically rare) fall
         back to the exact scalar predicate.  The accepted entries and
-        their order therefore match the naive scan bit-for-bit.
+        their order therefore match the exact per-entry scan of
+        :meth:`_attribute_and_move_exact` bit-for-bit.
         """
         table = self._table
         n = len(alive)
@@ -528,8 +466,8 @@ class SelfAwareSwarm(SwarmController):
                 rdx += rdy
                 np.minimum(moved_min, rdx, out=moved_min)
 
-    def _step_soa(self, now: float, robots: Sequence[Robot],
-                  witnessed: Sequence[Tuple[int, Event]]) -> None:
+    def step(self, now: float, robots: Sequence[Robot],
+             witnessed: Sequence[Tuple[int, Event]]) -> None:
         arrays = self._arrays
         arrays.refresh(robots)
         self._share_soa(robots, witnessed, arrays)
@@ -541,10 +479,3 @@ class SelfAwareSwarm(SwarmController):
             self._attribute_and_move_exact(alive)
         else:
             self._attribute_and_move_vector(alive)
-
-    def step(self, now: float, robots: Sequence[Robot],
-             witnessed: Sequence[Tuple[int, Event]]) -> None:
-        if self.fast:
-            self._step_soa(now, robots, witnessed)
-        else:
-            self._step_naive(now, robots, witnessed)

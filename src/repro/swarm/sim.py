@@ -15,11 +15,6 @@ from ..obs import metrics as obs_metrics
 from .arena import Arena, Event
 from .robots import Robot, SwarmController, make_swarm
 
-#: Default for the witness-detection spatial index.  The naive
-#: robots-x-events scan is retained (``use_grid=False``) as the
-#: reference implementation; both paths yield identical witness lists.
-USE_WITNESS_GRID = True
-
 
 @dataclass(slots=True)
 class SwarmStepRecord:
@@ -61,27 +56,14 @@ class SwarmMissionConfig:
     seed: int = 0
 
 
-def _witnessed_naive(robots: List[Robot],
-                     events: List[Event]) -> Tuple[List[Tuple[int, Event]], int]:
-    """Reference witness scan: every robot tested against every event."""
-    witnessed: List[Tuple[int, Event]] = []
-    seen_events = set()
-    for event in events:
-        for robot in robots:
-            if robot.witnesses(event):
-                witnessed.append((robot.robot_id, event))
-                seen_events.add(id(event))
-    return witnessed, len(seen_events)
-
-
 def _witnessed_grid(robots: List[Robot],
                     events: List[Event]) -> Tuple[List[Tuple[int, Event]], int]:
     """Witness scan through a per-step spatial grid over the robots.
 
     Candidates come back ordered by robot list index and are re-checked
     with the exact ``witnesses`` predicate, so the pair list (and hence
-    every downstream controller decision) matches the naive scan
-    exactly.
+    every downstream controller decision) is exactly what testing every
+    robot against every event would give, in (event, robot) order.
     """
     max_radius = 0.0
     grid: Optional[SpatialGrid] = None
@@ -119,11 +101,9 @@ class SwarmMission:
 
     def __init__(self, controller: SwarmController,
                  config: SwarmMissionConfig,
-                 use_grid: Optional[bool] = None,
                  faults: Optional["FaultInjector"] = None) -> None:
         self.controller = controller
         self.config = config
-        self.use_grid = use_grid if use_grid is not None else USE_WITNESS_GRID
         self.faults = faults
         self.arena = Arena.with_random_hotspots(
             n_hotspots=config.n_hotspots, seed=config.seed,
@@ -164,10 +144,7 @@ class SwarmMission:
                     robots[idx].alive = True
                 self._fault_down.discard(idx)
         events = self.arena.step(t)
-        if self.use_grid:
-            witnessed, seen = _witnessed_grid(robots, events)
-        else:
-            witnessed, seen = _witnessed_naive(robots, events)
+        witnessed, seen = _witnessed_grid(robots, events)
         self.controller.step(t, robots, witnessed)
         alive = sum(1 for r in robots if r.alive)
         if obs_events.enabled():

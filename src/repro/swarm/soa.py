@@ -23,7 +23,8 @@ whose ambiguity band absorbs both robot movement and float-evaluation
 differences (``sqrt(dx*dx+dy*dy)`` vs ``math.hypot``), or (b) as
 conservative candidate prefilters whose hits are re-checked with the
 exact scalar predicate.  The accepted sets, their order, and every
-downstream float operation match the naive reference paths exactly.
+downstream float operation match the exact scalar predicates applied
+entry by entry.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class EventTable:
 
     def event(self, index: int) -> Event:
         """Materialise the row as an :class:`Event` (value-equal to the
-        original; the fast path does not retain object identity)."""
+        original; the table does not retain object identity)."""
         row = index - self._base
         return Event(time=float(self._times[row]), x=float(self._xs[row]),
                      y=float(self._ys[row]))

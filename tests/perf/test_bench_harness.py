@@ -93,12 +93,11 @@ class TestKernelRegistry:
         assert {"camera.step.large", "sensornet.step.large",
                 "swarm.step.large", "cpn.step.large",
                 "cloud.step.large"} <= {k.name for k in large}
-        # Each paired large kernel keeps a naive baseline, like its
-        # default-tier counterpart.
-        by_name = {k.name: k for k in everything}
-        for name in ("camera.step.large", "sensornet.step.large",
-                     "swarm.step.large", "cpn.step.large"):
-            assert by_name[name].baseline_setup is not None
+        # Only the fault kernels pair a baseline (a different fault
+        # plan over the same work); no large kernel has one.
+        assert {k.name for k in everything
+                if k.baseline_setup is not None} \
+            == {"faults.hooks", "faults.cloud.step"}
 
     def test_unknown_size_raises(self):
         with pytest.raises(KeyError):

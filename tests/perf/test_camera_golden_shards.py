@@ -5,43 +5,24 @@ cannot tell it happened.  Two axes of identity, both at JSON-byte
 granularity:
 
 - **jobs-1 vs jobs-4** -- the engine's worker pool must not perturb a
-  single float (fork workers share the parent's flag state, so this
-  also holds on CI's forced-naive leg);
+  single float;
 - **fast vs naive** -- the columnised observer/best-observer scans and
-  the merged utility+auction step against the object-graph reference,
-  with and without the spatial grid.
+  the merged utility+auction step against the payloads the object-graph
+  reference produced, with and without the spatial grid, before it was
+  deleted (pinned in ``golden_path_payloads.json``).
 """
-
-import json
-
-import pytest
 
 from repro.experiments import e2_camera
 from repro.experiments.engine import (SuiteJob, canonical_suite_text,
                                       run_suite)
-from repro.smartcamera import network
-from repro.smartcamera import sim as camera_sim
+
+from . import goldens
 
 
 def _e2_job(seeds):
     return [SuiteJob(name="E2", module="repro.experiments.e2_camera",
                      shard_fn="run_shard", reduce_fn="reduce",
                      seeds=tuple(seeds), params={"steps": 120})]
-
-
-@pytest.fixture
-def naive_flags():
-    """Flip the camera fast-path defaults to naive for the duration."""
-    saved = (camera_sim.USE_FAST_CAMERA, network.USE_FAST_SCANS,
-             network.USE_SPATIAL_GRID)
-    camera_sim.USE_FAST_CAMERA = False
-    network.USE_FAST_SCANS = False
-    network.USE_SPATIAL_GRID = False
-    try:
-        yield
-    finally:
-        (camera_sim.USE_FAST_CAMERA, network.USE_FAST_SCANS,
-         network.USE_SPATIAL_GRID) = saved
 
 
 class TestCameraShardsAcrossJobs:
@@ -60,21 +41,11 @@ class TestCameraShardsAcrossJobs:
 
 
 class TestCameraShardsFastVsNaive:
-    def test_shard_payload_identical_fast_vs_naive(self, naive_flags):
-        naive = json.dumps(e2_camera.run_shard(0, steps=120),
-                           sort_keys=True)
-        camera_sim.USE_FAST_CAMERA = True
-        network.USE_FAST_SCANS = True
-        network.USE_SPATIAL_GRID = True
-        fast = json.dumps(e2_camera.run_shard(0, steps=120),
-                          sort_keys=True)
-        assert fast == naive
+    def test_shard_payload_identical_fast_vs_naive(self):
+        goldens.assert_matches_path_golden(
+            "E2.shard.seed0", e2_camera.run_shard(0, steps=120))
 
-    def test_grid_alone_identical_too(self, naive_flags):
-        """The naive-with-grid middle path matches the no-grid one."""
-        naive = json.dumps(e2_camera.run_shard(1, steps=120),
-                           sort_keys=True)
-        network.USE_SPATIAL_GRID = True
-        gridded = json.dumps(e2_camera.run_shard(1, steps=120),
-                             sort_keys=True)
-        assert gridded == naive
+    def test_grid_alone_identical_too(self):
+        """Seed 1, where the reference's grid and no-grid scans agreed."""
+        goldens.assert_matches_path_golden(
+            "E2.shard.seed1", e2_camera.run_shard(1, steps=120))

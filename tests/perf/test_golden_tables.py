@@ -1,23 +1,31 @@
-"""Byte-identical experiment tables: shard payloads vs committed golden.
+"""Byte-identical experiment tables and fault runs vs committed goldens.
 
 ``golden_shard_payloads.json`` was generated from the pre-optimisation
 code.  The optimisation pass must not move a single float, so a fresh
 run of the same shards must serialise to exactly the committed JSON.
 These are the slowest tests in the suite but the strongest guarantee
 the paper tables survived the kernel rewrite.
+
+The fault-armed runs below pin the injection semantics of each
+substrate step: which draws the injector makes, in which order, and
+what they do to the run (see :mod:`tests.perf.goldens`).
 """
 
 import json
-import os
 
 import pytest
 
+from repro.api import (CameraConfig, CameraSimulator, SensornetConfig,
+                       SensornetSimulator, SwarmConfig, SwarmSimulator)
 from repro.experiments import (ablations, e1_levels, e2_camera, e6_cpn,
-                               e7_attention, e12_swarm, e14_serving,
-                               e16_cluster)
+                               e7_attention, e12_swarm, e13_resilience,
+                               e14_serving, e16_cluster)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import (CLOCK_SKEW, CRASH, FAULT_KINDS,
+                               SENSOR_DROPOUT, SENSOR_NOISE, FaultPlan,
+                               FaultSpec)
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
-                           "golden_shard_payloads.json")
+from . import goldens
 
 SHARDS = {
     "E1": lambda: e1_levels.run_shard(0, steps=200),
@@ -32,13 +40,15 @@ SHARDS = {
     "E14": lambda: e14_serving.run_shard(0, steps=300, loads=(4.0, 16.0)),
     "E16": lambda: e16_cluster.run_shard(0, steps=250,
                                          tiers=("skewed", "flash")),
+    # Fault-armed: camera crashes and bid corruption, cloud surges.
+    "E13": lambda: e13_resilience.run_shard(0, steps=200),
+    "E13/seed1": lambda: e13_resilience.run_shard(1, steps=200),
 }
 
 
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return goldens.load(goldens.SHARD_GOLDEN_PATH)
 
 
 @pytest.mark.parametrize("experiment", sorted(SHARDS))
@@ -48,3 +58,123 @@ def test_shard_payload_matches_golden(golden, experiment):
     assert fresh == committed, (
         f"{experiment} shard payload drifted from the committed golden -- "
         f"an optimisation changed experiment arithmetic")
+
+
+def _plan(kind, intensity, start, end, seed):
+    return FaultPlan(specs=(FaultSpec(kind=kind, start=start, end=end,
+                                      intensity=intensity),), seed=seed)
+
+
+# -- smart camera: one spec per kind, both controller families ----------
+
+def _camera_runs():
+    runs = []
+    for i, kind in enumerate(FAULT_KINDS):
+        for j, controller in enumerate(("self_aware", "fixed")):
+            runs.append((kind, controller, (0.2, 0.5, 0.9)[(2 * i + j) % 3],
+                         (0, 4)[(i + j) % 2]))
+    return runs
+
+
+CAMERA_RUNS = _camera_runs()
+
+
+def _camera_fault_payload(kind, controller, intensity, seed):
+    config = CameraConfig(rows=4, cols=4, radius=0.24, n_objects=30,
+                          object_speed=0.035, detection_rate=0.2,
+                          random_placement=True, steps=120, seed=seed,
+                          controller=controller,
+                          strategy=("active_broadcast"
+                                    if controller == "fixed" else None))
+    injector = FaultInjector(_plan(kind, intensity, 30.0, 90.0, seed + 7),
+                             run_seed=seed)
+    sim = CameraSimulator(config, faults=injector)
+    sim.run()
+    return {"metrics": sim.metrics(), "snapshot": sim.snapshot(),
+            "state": goldens.camera_state(sim._sim),
+            "fault_rng": injector._rng.bit_generator.state}
+
+
+@pytest.mark.parametrize("kind,controller,intensity,seed", CAMERA_RUNS,
+                         ids=[f"{k}-{c}" for k, c, _, _ in CAMERA_RUNS])
+def test_camera_fault_run_matches_golden(kind, controller, intensity, seed):
+    goldens.assert_matches_path_golden(
+        f"camera.faults.{kind}.{controller}",
+        _camera_fault_payload(kind, controller, intensity, seed))
+
+
+# -- sensornet: every kind at four intensities, plus the policy path ----
+
+def _sensornet_runs():
+    runs = []
+    index = 0
+    for kind in FAULT_KINDS:
+        for intensity in (0.0, 0.3, 0.7, 1.0):
+            runs.append(("salience", kind, intensity, index % 3,
+                         (4, 16)[index % 2]))
+            index += 1
+    runs.append(("round_robin", SENSOR_DROPOUT, 0.5, 1, 8))
+    runs.append(("random", CLOCK_SKEW, 0.7, 2, 8))
+    return runs
+
+
+SENSORNET_RUNS = _sensornet_runs()
+
+
+def _sensornet_fault_payload(attention, kind, intensity, seed, n_channels):
+    config = SensornetConfig(steps=250, seed=seed, n_channels=n_channels,
+                             budget=n_channels * 0.4, attention=attention)
+    injector = FaultInjector(_plan(kind, intensity, 50.0, 200.0, seed + 3),
+                             run_seed=seed)
+    sim = SensornetSimulator(config, faults=injector)
+    sim.run()
+    return {"records": [(r.time, r.error, r.energy_spent,
+                         r.channels_sampled) for r in sim.records],
+            "metrics": sim.metrics(), "snapshot": sim.snapshot(),
+            "state": goldens.sensornet_state(sim._node),
+            "fault_rng": injector._rng.bit_generator.state}
+
+
+@pytest.mark.parametrize(
+    "attention,kind,intensity,seed,n_channels", SENSORNET_RUNS,
+    ids=[f"{a}-{k}-{i:g}" for a, k, i, _, _ in SENSORNET_RUNS])
+def test_sensornet_fault_run_matches_golden(attention, kind, intensity,
+                                            seed, n_channels):
+    goldens.assert_matches_path_golden(
+        f"sensornet.faults.{attention}.{kind}.{intensity:g}",
+        _sensornet_fault_payload(attention, kind, intensity, seed,
+                                 n_channels))
+
+
+# -- swarm: crash-and-recover through the mission -----------------------
+
+def test_swarm_crash_run_matches_golden():
+    plan = FaultPlan(specs=(
+        FaultSpec(kind=CRASH, start=40.0, end=100.0, intensity=0.4),
+        FaultSpec(kind=SENSOR_NOISE, start=40.0, end=100.0, intensity=0.5),
+    ), seed=21)
+    injector = FaultInjector(plan, run_seed=2)
+    sim = SwarmSimulator(SwarmConfig(n_robots=9, steps=150, seed=2),
+                         faults=injector)
+    sim.run()
+    mission = sim._mission
+    goldens.assert_matches_path_golden("swarm.faults.crash", {
+        "records": [(r.time, r.events, r.witnessed, r.alive)
+                    for r in mission.records],
+        "robots": [(r.robot_id, r.x, r.y, r.alive) for r in mission.robots],
+        "metrics": sim.metrics(), "snapshot": sim.snapshot(),
+        "fault_rng": injector._rng.bit_generator.state,
+        "controller_rng": mission.controller._rng.bit_generator.state,
+    })
+
+
+def test_fault_runs_differ_from_clean_runs():
+    """The counter-check: each pinned fault kind really reaches the step."""
+    for kind in (CRASH, SENSOR_NOISE, SENSOR_DROPOUT):
+        faulted = _camera_fault_payload(kind, "self_aware", 0.5, 0)
+        clean = _camera_fault_payload(kind, "self_aware", 0.0, 0)
+        assert faulted["state"] != clean["state"], kind
+    for kind in (SENSOR_DROPOUT, CLOCK_SKEW):
+        faulted = _sensornet_fault_payload("salience", kind, 0.7, 0, 4)
+        clean = _sensornet_fault_payload("salience", kind, 0.0, 0, 4)
+        assert faulted["records"] != clean["records"], kind

@@ -1,15 +1,15 @@
-"""Optimised hot paths must equal their retained naive references.
+"""Optimised hot paths must equal their pinned reference payloads.
 
 Every optimisation in the kernel pass (spatial grids, gated Dijkstra,
 memoised window statistics, pure-python bandits, bounded attribution)
-keeps the pre-optimisation implementation selectable.  These tests drive
-both variants over identical seeded scenarios and require *exact*
-equality -- the experiment tables must be byte-identical, so "close" is
-not good enough.
+was checked against the pre-optimisation implementation on identical
+seeded scenarios.  Those reference implementations are gone; what they
+produced on these scenarios is pinned in ``golden_path_payloads.json``
+(see :mod:`tests.perf.goldens`) and the one remaining path must
+reproduce it *exactly* -- the experiment tables must be byte-identical,
+so "close" is not good enough.  ``History``'s window statistics keep
+their in-class references and are still compared live.
 """
-
-import json
-import math
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from repro.smartcamera.network import CameraNetwork
 from repro.smartcamera.objects import MovingObject
 from repro.swarm.robots import SelfAwareSwarm
 from repro.swarm.sim import SwarmMission, SwarmMissionConfig
+
+from . import goldens
 
 
 def _record_dict(record):
@@ -39,89 +41,65 @@ class TestCameraGridEquivalence:
                              speed=0.02, rng=np.random.default_rng(100 + i))
                 for i in range(n)]
 
+    def _queries(self, network, objects):
+        return [(network.observers(obj), network.best_observer(obj))
+                for obj in objects]
+
     def test_queries_match_naive_scan(self):
-        cams = CameraNetwork.random(30, radius=0.2, seed=2, use_grid=True)
-        naive = CameraNetwork(list(cams.cameras.values()), use_grid=False)
-        for obj in self._objects():
-            assert cams.observers(obj) == naive.observers(obj)
-            assert cams.best_observer(obj) == naive.best_observer(obj)
+        cams = CameraNetwork.random(30, radius=0.2, seed=2)
+        goldens.assert_matches_path_golden(
+            "camera.queries.random", self._queries(cams, self._objects()))
 
     def test_grid_matches_on_grid_layout(self):
-        cams = CameraNetwork.grid(5, 5, radius=0.3, use_grid=True)
-        naive = CameraNetwork.grid(5, 5, radius=0.3, use_grid=False)
-        for obj in self._objects(seed=11):
-            assert cams.observers(obj) == naive.observers(obj)
-            assert cams.best_observer(obj) == naive.best_observer(obj)
+        cams = CameraNetwork.grid(5, 5, radius=0.3)
+        goldens.assert_matches_path_golden(
+            "camera.queries.grid",
+            self._queries(cams, self._objects(seed=11)))
 
 
 class TestCameraSimEquivalence:
-    def _run(self, optimised):
-        from repro.learning import bandits
+    def test_full_sim_records_identical(self):
+        # End to end over the whole market/learning stack: the column
+        # scans, the merged utility+auction step and the list-based
+        # bandits must reproduce every step record of the reference run.
         from repro.smartcamera.controller import SelfAwareStrategyController
         from repro.smartcamera.sim import CameraSimConfig, CameraSimulation
 
         config = CameraSimConfig(rows=4, cols=4, n_objects=18, steps=150,
                                  object_speed=0.04, detection_rate=0.2,
                                  random_placement=True, seed=3)
-        prev = bandits.USE_FAST_BANDIT
-        bandits.USE_FAST_BANDIT = optimised
-        try:
-            sim = CameraSimulation(
-                config,
-                controller_factory=lambda cid, rng: SelfAwareStrategyController(
-                    cid, epsilon=0.1, rng=rng))
-        finally:
-            bandits.USE_FAST_BANDIT = prev
-        if not optimised:
-            sim.network = CameraNetwork(list(sim.network.cameras.values()),
-                                        use_grid=False)
-        return sim.run()
-
-    def test_full_sim_records_identical(self):
-        # End to end over the whole market/learning stack: the grid
-        # (observer queries + bid-loop pruning) and the fast bandits must
-        # reproduce every step record of the naive run exactly.
-        fast = self._run(True)
-        naive = self._run(False)
-        assert len(fast.records) == len(naive.records)
-        for a, b in zip(fast.records, naive.records):
-            assert _record_dict(a) == _record_dict(b)
+        sim = CameraSimulation(
+            config,
+            controller_factory=lambda cid, rng: SelfAwareStrategyController(
+                cid, epsilon=0.1, rng=rng))
+        records = sim.run().records
+        goldens.assert_matches_path_golden(
+            "camera.sim.records", [_record_dict(r) for r in records])
 
 
 class TestSwarmFastEquivalence:
-    def _run(self, fast):
-        controller = SelfAwareSwarm(rng=np.random.default_rng(7), fast=fast)
+    def test_mission_records_identical(self):
+        controller = SelfAwareSwarm(rng=np.random.default_rng(7))
         config = SwarmMissionConfig(n_robots=14, steps=160,
                                     events_per_step=4.0, seed=1)
-        mission = SwarmMission(controller, config, use_grid=fast)
-        return [mission.step(float(t)) for t in range(config.steps)]
-
-    def test_mission_records_identical(self):
-        fast = self._run(True)
-        naive = self._run(False)
-        assert len(fast) == len(naive)
-        for a, b in zip(fast, naive):
-            assert _record_dict(a) == _record_dict(b)
+        mission = SwarmMission(controller, config)
+        records = [mission.step(float(t)) for t in range(config.steps)]
+        goldens.assert_matches_path_golden(
+            "swarm.mission.records", [_record_dict(r) for r in records])
 
 
 class TestGatedOracleEquivalence:
-    def _run(self, gated):
+    def test_routing_records_identical(self):
+        # The change-gated tables against the recompute-every-step
+        # reference's records (NaN mean delays compare as JSON text).
         network = CPNetwork.random_geometric(n=24, seed=5)
         network.schedule_random_disturbances(horizon=4000.0, count=8)
-        router = OracleRouter(network, gated=gated)
+        router = OracleRouter(network)
         flows = default_flows(network, n_flows=5, seed=5)
-        return [routing_step(network, router, flows, float(t))
-                for t in range(250)]
-
-    def test_routing_records_identical(self):
-        gated = self._run(True)
-        naive = self._run(False)
-        for a, b in zip(gated, naive):
-            da, db = _record_dict(a), _record_dict(b)
-            # NaN (no delivery that step) compares unequal to itself.
-            na, nb = da.pop("mean_delay"), db.pop("mean_delay")
-            assert da == db
-            assert (na == nb) or (math.isnan(na) and math.isnan(nb))
+        records = [routing_step(network, router, flows, float(t))
+                   for t in range(250)]
+        goldens.assert_matches_path_golden(
+            "cpn.oracle.records", [_record_dict(r) for r in records])
 
 
 class TestWindowStatsEquivalence:
@@ -146,38 +124,31 @@ class TestWindowStatsEquivalence:
 
 class TestBanditFastEquivalence:
     def test_decision_stream_identical(self):
-        fast = EpsilonGreedy(5, epsilon=0.2, discount=0.97,
-                             rng=np.random.default_rng(42), fast=True)
-        naive = EpsilonGreedy(5, epsilon=0.2, discount=0.97,
-                              rng=np.random.default_rng(42), fast=False)
+        bandit = EpsilonGreedy(5, epsilon=0.2, discount=0.97,
+                               rng=np.random.default_rng(42))
         reward_rng = np.random.default_rng(7)
+        arms = []
         for _ in range(500):
-            a, b = fast.select(), naive.select()
-            assert a == b
-            reward = float(reward_rng.normal(0.1 * a, 0.3))
-            fast.update(a, reward)
-            naive.update(b, reward)
-        for arm in range(5):
-            assert fast.value(arm) == naive.value(arm)
+            arm = bandit.select()
+            arms.append(arm)
+            bandit.update(arm, float(reward_rng.normal(0.1 * arm, 0.3)))
+        goldens.assert_matches_path_golden(
+            "bandit.epsilon_greedy",
+            {"arms": arms, "values": [bandit.value(a) for a in range(5)]})
 
 
 class TestMissionTablesJSONStable:
     def test_detection_rates_serialise_identically(self):
         # End-to-end guard on the numbers that reach the E12 table: the
-        # aggregated detection rates must serialise to identical JSON
-        # under the fast and naive paths.
+        # aggregated detection rates must serialise to the reference
+        # path's JSON.
         from repro.api import SwarmSimulator
 
-        def run(fast):
-            controller = SelfAwareSwarm(rng=np.random.default_rng(500),
-                                        fast=fast)
-            config = SwarmMissionConfig(n_robots=9, steps=120, seed=0)
-            result = SwarmSimulator(mission_config=config,
-                                    controller=controller,
-                                    use_grid=fast).run()
-            return [result.detection_rate(),
-                    result.detection_rate(0.0, 48.0),
-                    result.detection_rate(54.0, 84.0)]
-
-        assert (json.dumps(run(True), sort_keys=True)
-                == json.dumps(run(False), sort_keys=True))
+        controller = SelfAwareSwarm(rng=np.random.default_rng(500))
+        config = SwarmMissionConfig(n_robots=9, steps=120, seed=0)
+        result = SwarmSimulator(mission_config=config,
+                                controller=controller).run()
+        goldens.assert_matches_path_golden(
+            "swarm.detection_rates",
+            [result.detection_rate(), result.detection_rate(0.0, 48.0),
+             result.detection_rate(54.0, 84.0)])

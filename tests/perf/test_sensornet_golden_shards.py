@@ -3,18 +3,16 @@
 The batched channel field and column-resolved sensing step are only
 admissible if the E7 tables cannot tell they happened.  Same two axes
 as the swarm and camera suites: jobs-1 vs jobs-4 through the engine's
-worker pool, and fast vs naive at JSON-byte granularity.
+worker pool, and fast vs naive at JSON-byte granularity -- the naive
+side being the payloads the scalar field and node steps produced before
+they were deleted (pinned in ``golden_path_payloads.json``).
 """
-
-import json
-
-import pytest
 
 from repro.experiments import e7_attention
 from repro.experiments.engine import (SuiteJob, canonical_suite_text,
                                       run_suite)
-from repro.sensornet import field as field_mod
-from repro.sensornet import node as node_mod
+
+from . import goldens
 
 BUDGETS = (2.0, 4.0)
 
@@ -24,19 +22,6 @@ def _e7_job(seeds):
                      shard_fn="run_shard", reduce_fn="reduce",
                      seeds=tuple(seeds),
                      params={"budgets": BUDGETS, "steps": 120})]
-
-
-@pytest.fixture
-def naive_flags():
-    """Flip the sensornet fast-path defaults to naive for the duration."""
-    saved = (field_mod.USE_FAST_FIELD, node_mod.USE_FAST_SENSORNET)
-    field_mod.USE_FAST_FIELD = False
-    node_mod.USE_FAST_SENSORNET = False
-    try:
-        yield
-    finally:
-        (field_mod.USE_FAST_FIELD,
-         node_mod.USE_FAST_SENSORNET) = saved
 
 
 class TestSensornetShardsAcrossJobs:
@@ -55,24 +40,14 @@ class TestSensornetShardsAcrossJobs:
 
 
 class TestSensornetShardsFastVsNaive:
-    def test_shard_payload_identical_fast_vs_naive(self, naive_flags):
-        naive = json.dumps(
-            e7_attention.run_shard(0, budgets=BUDGETS, steps=120),
-            sort_keys=True)
-        field_mod.USE_FAST_FIELD = True
-        node_mod.USE_FAST_SENSORNET = True
-        fast = json.dumps(
-            e7_attention.run_shard(0, budgets=BUDGETS, steps=120),
-            sort_keys=True)
-        assert fast == naive
+    def test_shard_payload_identical_fast_vs_naive(self):
+        goldens.assert_matches_path_golden(
+            "E7.shard.seed0",
+            e7_attention.run_shard(0, budgets=BUDGETS, steps=120))
 
-    def test_batched_field_alone_identical_too(self, naive_flags):
-        """The batched walks under a naive node still match exactly."""
-        naive = json.dumps(
-            e7_attention.run_shard(1, budgets=BUDGETS, steps=120),
-            sort_keys=True)
-        field_mod.USE_FAST_FIELD = True
-        mixed = json.dumps(
-            e7_attention.run_shard(1, budgets=BUDGETS, steps=120),
-            sort_keys=True)
-        assert mixed == naive
+    def test_batched_field_alone_identical_too(self):
+        """Seed 1, where the reference's batched field under a scalar
+        node matched too."""
+        goldens.assert_matches_path_golden(
+            "E7.shard.seed1",
+            e7_attention.run_shard(1, budgets=BUDGETS, steps=120))

@@ -4,20 +4,22 @@ The SoA swarm rewrite is only admissible if the E12 tables cannot tell
 it happened.  Two axes of identity, both at JSON-byte granularity:
 
 - **jobs-1 vs jobs-4** -- the engine's worker pool must not perturb a
-  single float (fork workers share the parent's flag state, so this
-  also holds on CI's forced-naive leg);
-- **fast vs naive** -- the struct-of-arrays controller and the
-  vectorised/gridded scans against the object-graph reference scans.
+  single float;
+- **fast vs naive** -- the struct-of-arrays controller and the gridded
+  witness scan against the payloads the object-graph reference scans
+  produced before they were deleted (pinned in
+  ``golden_path_payloads.json``).
 """
 
-import json
-
-import pytest
+import numpy as np
 
 from repro.experiments import e12_swarm
 from repro.experiments.engine import (SuiteJob, canonical_suite_text,
                                       run_suite)
-from repro.swarm import robots, sim
+from repro.swarm.robots import SelfAwareSwarm
+from repro.swarm.sim import SwarmMission, SwarmMissionConfig
+
+from . import goldens
 
 
 def _e12_job(seeds):
@@ -25,18 +27,6 @@ def _e12_job(seeds):
                      shard_fn="run_shard", reduce_fn="reduce",
                      seeds=tuple(seeds),
                      params={"steps": 120, "n_robots": 9})]
-
-
-@pytest.fixture
-def naive_flags():
-    """Flip the swarm fast-path defaults to naive for the duration."""
-    saved = (robots.USE_FAST_SWARM, sim.USE_WITNESS_GRID)
-    robots.USE_FAST_SWARM = False
-    sim.USE_WITNESS_GRID = False
-    try:
-        yield
-    finally:
-        robots.USE_FAST_SWARM, sim.USE_WITNESS_GRID = saved
 
 
 class TestSwarmShardsAcrossJobs:
@@ -57,31 +47,20 @@ class TestSwarmShardsAcrossJobs:
 
 
 class TestSwarmShardsFastVsNaive:
-    def test_shard_payload_identical_fast_vs_naive(self, naive_flags):
-        naive = json.dumps(e12_swarm.run_shard(0, steps=120, n_robots=9),
-                           sort_keys=True)
-        robots.USE_FAST_SWARM = True
-        sim.USE_WITNESS_GRID = True
-        fast = json.dumps(e12_swarm.run_shard(0, steps=120, n_robots=9),
-                          sort_keys=True)
-        assert fast == naive
+    def test_shard_payload_identical_fast_vs_naive(self):
+        goldens.assert_matches_path_golden(
+            "E12.shard.seed0", e12_swarm.run_shard(0, steps=120, n_robots=9))
 
-    def test_scalar_soa_backend_identical_too(self, naive_flags):
-        """The SoA mission matches the naive object-graph reference on
-        a denser event stream, robot positions included."""
-        import numpy as np
-
-        from repro.swarm.sim import SwarmMission, SwarmMissionConfig
-
-        def mission(fast):
-            config = SwarmMissionConfig(n_robots=9, steps=120,
-                                        events_per_step=4.0, seed=3)
-            controller = robots.SelfAwareSwarm(
-                rng=np.random.default_rng(11), fast=fast)
-            run = SwarmMission(controller, config, use_grid=fast)
-            records = [run.step(float(t)) for t in range(120)]
-            return ([(r.time, r.events, r.witnessed, r.alive)
-                     for r in records],
-                    [(r.robot_id, r.x, r.y, r.alive) for r in run.robots])
-
-        assert mission(fast=True) == mission(fast=False)
+    def test_scalar_soa_backend_identical_too(self):
+        """The SoA mission on a denser event stream, robot positions
+        included."""
+        config = SwarmMissionConfig(n_robots=9, steps=120,
+                                    events_per_step=4.0, seed=3)
+        run = SwarmMission(SelfAwareSwarm(rng=np.random.default_rng(11)),
+                           config)
+        records = [run.step(float(t)) for t in range(120)]
+        goldens.assert_matches_path_golden("swarm.mission.dense", {
+            "records": [(r.time, r.events, r.witnessed, r.alive)
+                        for r in records],
+            "robots": [(r.robot_id, r.x, r.y, r.alive) for r in run.robots],
+        })

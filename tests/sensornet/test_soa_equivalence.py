@@ -2,10 +2,13 @@
 
 Byte-identity means *all* visible state: the step records, the node's
 beliefs and knowledge-base histories, every sensor's sample counter and
-RNG stream position, and the field generator's state.  The fast step is
-taken only for a plain :class:`SalienceAttention`; other policies (and
-salience subclasses) must fall back to the naive step and still benefit
-from the batched field without a single float moving.
+RNG stream position, and the field generator's state.  The column step
+is taken only for a plain :class:`SalienceAttention`; other policies
+(and salience subclasses) take the policy step, which asks the policy
+itself.  The scalar reference steps are deleted: what they produced on
+these runs is pinned in ``tests/perf/golden_path_payloads.json``.  The
+batched field is still compared live against each walk's own scalar
+``BoundedRandomWalk.step``.
 """
 
 import math
@@ -23,6 +26,8 @@ from repro.sensornet.field import ChannelField, mixed_channel_specs
 from repro.sensornet.node import SensingNode
 from repro.sensornet.soa import step_walks_batched
 
+from ..perf import goldens
+
 
 def _policy(name, seed):
     return {
@@ -34,26 +39,20 @@ def _policy(name, seed):
     }[name]()
 
 
-def _run(name, fast, n_channels=8, seed=5, budget=3.0, steps=200):
+def _run(name, n_channels=8, seed=5, budget=3.0, steps=200):
     field = ChannelField(mixed_channel_specs(n_channels, seed=seed),
-                         rng=np.random.default_rng(seed), fast=fast)
+                         rng=np.random.default_rng(seed))
     node = SensingNode(field, _policy(name, seed), budget=budget,
-                       rng=np.random.default_rng(seed + 10), fast=fast)
+                       rng=np.random.default_rng(seed + 10))
     records = [node.step(float(t)) for t in range(steps)]
-    return field, node, records
+    return node, records
 
 
-def _visible_state(field, node, records):
-    return (
-        [(r.time, r.error, r.energy_spent, r.channels_sampled)
-         for r in records],
-        node.beliefs(),
-        node.total_energy,
-        {s.scope.name: (s.samples_taken, s._rng.bit_generator.state)
-         for s in (node.suite.sensor(sc) for sc in node.suite.scopes())},
-        field._rng.bit_generator.state,
-        {name: field.truth(name) for name in field.names()},
-    )
+def _visible_state(node, records):
+    state = goldens.sensornet_state(node)
+    state["records"] = [(r.time, r.error, r.energy_spent, r.channels_sampled)
+                        for r in records]
+    return state
 
 
 class TestSensingStepEquivalence:
@@ -61,22 +60,21 @@ class TestSensingStepEquivalence:
                                        (64, 3, 24.0), (5, 11, 2.0)])
     def test_salience_fast_matches_naive(self, shape):
         n_channels, seed, budget = shape
-        fast = _visible_state(*_run("salience", True, n_channels=n_channels,
-                                    seed=seed, budget=budget))
-        naive = _visible_state(*_run("salience", False,
-                                     n_channels=n_channels, seed=seed,
-                                     budget=budget))
-        assert fast == naive
+        node, records = _run("salience", n_channels=n_channels, seed=seed,
+                             budget=budget)
+        goldens.assert_matches_path_golden(
+            f"sensornet.step.salience.{n_channels}.{seed}.{budget:g}",
+            _visible_state(node, records))
+        assert node._columns_step
 
     @pytest.mark.parametrize("name", ["full", "rr", "random"])
     def test_other_policies_fall_back_and_still_match(self, name):
-        fast_field, fast_node, fast_records = _run(name, True)
-        assert not fast_node._fast  # columns model salience only
-        fast = _visible_state(fast_field, fast_node, fast_records)
-        naive = _visible_state(*_run(name, False))
-        assert fast == naive
+        node, records = _run(name)
+        goldens.assert_matches_path_golden(f"sensornet.step.{name}",
+                                           _visible_state(node, records))
+        assert not node._columns_step  # columns model salience only
 
-    def test_salience_subclass_keeps_the_naive_path(self):
+    def test_salience_subclass_policy_path(self):
         class Tweaked(SalienceAttention):
             def salience(self, scope, knowledge, t):
                 return 1.0
@@ -84,20 +82,26 @@ class TestSensingStepEquivalence:
         field = ChannelField(mixed_channel_specs(4, seed=1),
                              rng=np.random.default_rng(1))
         node = SensingNode(field, Tweaked(), budget=2.0,
-                           rng=np.random.default_rng(2), fast=True)
-        assert not node._fast
+                           rng=np.random.default_rng(2))
+        assert not node._columns_step
+
+
+def _scalar_reference(field):
+    """The field's walks stepped one by one by their own scalar step."""
+    for walk in field._signals.values():
+        walk.step()
 
 
 class TestBatchedFieldEquivalence:
     @pytest.mark.parametrize("n_channels", [1, 8, 64])
     def test_walk_values_and_rng_state_match(self, n_channels):
         fast = ChannelField(mixed_channel_specs(n_channels, seed=3),
-                            rng=np.random.default_rng(3), fast=True)
+                            rng=np.random.default_rng(3))
         naive = ChannelField(mixed_channel_specs(n_channels, seed=3),
-                             rng=np.random.default_rng(3), fast=False)
+                             rng=np.random.default_rng(3))
         for _ in range(300):
             fast.step()
-            naive.step()
+            _scalar_reference(naive)
         assert [fast.truth(n) for n in fast.names()] \
             == [naive.truth(n) for n in naive.names()]
         assert fast._rng.bit_generator.state == naive._rng.bit_generator.state
@@ -106,16 +110,17 @@ class TestBatchedFieldEquivalence:
         """Parameter columns are re-read per call, so run-time changes
         to a walk's dynamics take effect immediately."""
         fast = ChannelField(mixed_channel_specs(4, seed=9),
-                            rng=np.random.default_rng(9), fast=True)
+                            rng=np.random.default_rng(9))
         naive = ChannelField(mixed_channel_specs(4, seed=9),
-                             rng=np.random.default_rng(9), fast=False)
-        for f in (fast, naive):
-            f.step()
+                             rng=np.random.default_rng(9))
+        for f, step in ((fast, fast.step),
+                        (naive, lambda: _scalar_reference(naive))):
+            step()
             walk = f._signals[f.names()[2]]
             walk.sigma = 0.5
             walk.mean = 0.9
-            f.step()
-            f.step()
+            step()
+            step()
         assert [fast.truth(n) for n in fast.names()] \
             == [naive.truth(n) for n in naive.names()]
 

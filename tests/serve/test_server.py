@@ -2,9 +2,11 @@
 
 import asyncio
 import json
+import threading
 
 import pytest
 
+from repro.obs.events import EventBus, set_bus
 from repro.serve import (Client, InProcessClient, ServerConfig,
                          SimulationServer)
 
@@ -489,6 +491,137 @@ class TestSocket:
                     if r.name == "repro.serve.server"]
         assert record.exc_info is not None
         assert "stats store corrupted" in str(record.exc_info[1])
+
+
+class _SlowFirstBatch:
+    """A dispatcher whose first batch blocks until released.
+
+    ``workers = 1`` makes the batch loop run ``submit`` on an executor
+    thread, so the event loop stays free to queue more steps and to call
+    ``stop()`` while the first batch is in flight.
+    """
+
+    workers = 1
+    max_batch = 1
+
+    def __init__(self, real):
+        self.real = real
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.batches = 0
+
+    def submit(self, requests):
+        self.batches += 1
+        if self.batches == 1:
+            self.started.set()
+            self.release.wait(10)
+        return self.real.submit(requests)
+
+    def close(self):
+        self.real.close()
+
+
+class TestStop:
+    def test_step_queued_behind_a_slow_batch_is_answered(self):
+        def strip(reply):
+            return dict(reply, session=None)
+
+        async def uninterrupted(server, client):
+            created = await client.create("sensornet", steps=50,
+                                          n_channels=4, seed=2)
+            return await client.step(created["session"], n=4)
+
+        async def interrupted():
+            server = make_server()
+            await server.start(listen=False)
+            client = InProcessClient(server)
+            ahead_id = (await client.create("sensornet", steps=50,
+                                            n_channels=4, seed=1))["session"]
+            behind_id = (await client.create("sensornet", steps=50,
+                                             n_channels=4, seed=2))["session"]
+            slow = server.dispatcher = _SlowFirstBatch(server.dispatcher)
+            ahead = asyncio.create_task(client.step(ahead_id, n=4))
+            for _ in range(1000):
+                if slow.started.is_set():
+                    break
+                await asyncio.sleep(0.005)
+            assert slow.started.is_set()
+            behind = asyncio.create_task(client.step(behind_id, n=4))
+            await asyncio.sleep(0.02)  # queued behind the slow batch
+            stopping = asyncio.create_task(server.stop())
+            await asyncio.sleep(0.05)
+            assert not behind.done() and not stopping.done()
+            slow.release.set()
+            await asyncio.wait_for(stopping, timeout=5)
+            return await asyncio.wait_for(asyncio.gather(ahead, behind),
+                                          timeout=5)
+
+        reference = run(with_server(uninterrupted))
+        ahead, behind = run(interrupted())
+        assert ahead["ok"] and ahead["steps_taken"] == 4
+        assert behind["ok"]
+        assert strip(behind) == strip(reference)
+
+    def test_step_after_stop_fails_instead_of_hanging(self):
+        async def body():
+            server = make_server()
+            await server.start(listen=False)
+            client = InProcessClient(server)
+            sid = (await client.create("sensornet", steps=50,
+                                       n_channels=4))["session"]
+            await server.stop()
+            return await asyncio.wait_for(client.step(sid), timeout=5)
+
+        late = run(body())
+        assert late["ok"] is False
+        assert late["error"]["code"] == "internal"
+
+
+class TestRequestEvents:
+    def test_every_reply_emits_one_serve_request_with_its_code(self):
+        async def broken(request, now):
+            raise RuntimeError("stats store corrupted")
+
+        async def body():
+            server = SimulationServer(
+                ServerConfig(workers=0, governor="none",
+                             admission_rate=1e-6, admission_burst=1.0),
+                placements={"far": "elsewhere"})
+            server._handlers["stats"] = broken
+            await server.start(listen=False)
+            client = InProcessClient(server)
+            try:
+                requests = [
+                    ({"op": "hello"}, None),
+                    ({"op": "hello", "v": 99}, "unsupported_version"),
+                    ({"op": "nope"}, "bad_request"),
+                    ({"op": "step", "session": "far"}, "moved"),
+                    # Takes the one admission token, then fails lookup.
+                    ({"op": "step", "session": "gone"}, "unknown_session"),
+                    ({"op": "step", "session": "gone"}, "shed_rate"),
+                    ({"op": "migrate_in", "handle": {"session": "far"}},
+                     "wrong_node"),
+                    ({"op": "stats"}, "internal"),
+                ]
+                replies = [await server.dispatch(dict(r))
+                           for r, _ in requests]
+            finally:
+                await server.stop()
+            return requests, replies
+
+        bus = EventBus(enabled=True)
+        previous = set_bus(bus)
+        try:
+            requests, replies = run(body())
+        finally:
+            set_bus(previous)
+        events = bus.events("serve.request")
+        assert [(e.fields["ok"], e.fields["code"]) for e in events] == \
+            [(code is None, code) for _, code in requests]
+        assert [r.get("error", {}).get("code") for r in replies] == \
+            [code for _, code in requests]
+        assert [e.fields["op"] for e in events] == \
+            [r["op"] for r, _ in requests]
 
 
 class TestConstruction:

@@ -4,7 +4,11 @@ Byte-identity here means *all* visible state, not just the records: the
 ownership map, the market statistics, the controllers' learned usage
 counts and the simulation RNG's stream position.  Any divergence --
 one reordered float, one extra draw -- would silently skew every
-downstream E2 number, so these tests compare exact equality.
+downstream E2 number, so these tests compare exact equality.  The
+object-graph reference step (with and without its spatial grid) is
+deleted; the state it produced on these runs is pinned in
+``tests/perf/golden_path_payloads.json`` and is what the one remaining
+step is compared against.
 """
 
 import math
@@ -17,9 +21,11 @@ from repro.smartcamera.controller import (FixedStrategyController,
 from repro.smartcamera.network import CameraNetwork
 from repro.smartcamera.objects import MovingObject
 from repro.smartcamera.sim import CameraSimConfig, CameraSimulation
-from repro.smartcamera.soa import (CameraColumns, best_observer_row,
-                                   possible_rows, seeing_rows)
+from repro.smartcamera.soa import (CameraColumns, best_observer_row_scalar,
+                                   possible_rows, seeing_ids_scalar)
 from repro.smartcamera.strategies import Strategy
+
+from ..perf import goldens
 
 
 def _config(seed, **overrides):
@@ -30,65 +36,42 @@ def _config(seed, **overrides):
     return CameraSimConfig(**kwargs)
 
 
-def _run(config, fast, use_grid=True, self_aware=True, steps=150):
+def _run(config, self_aware=True, steps=150):
     sim = CameraSimulation(
         config,
         controller_factory=(
             (lambda cid, rng: SelfAwareStrategyController(
                 cid, epsilon=0.05, rng=rng)) if self_aware else
             (lambda cid, rng: FixedStrategyController(
-                cid, Strategy.ACTIVE_SMOOTH))),
-        fast=fast)
-    if not fast:
-        sim.network = CameraNetwork(list(sim.network.cameras.values()),
-                                    use_grid=use_grid, fast=False)
+                cid, Strategy.ACTIVE_SMOOTH))))
     for t in range(steps):
         sim.step(float(t))
     return sim
 
 
-def _visible_state(sim):
-    return (
-        [(r.time, r.tracking_utility, r.messages, r.handovers,
-          r.owned_objects, r.lost_objects, r.comm_weight)
-         for r in sim.records],
-        dict(sim.ownership),
-        (sim.market.auctions_run, sim.market.trades, sim.market.volume),
-        {cid: dict(c.usage) for cid, c in sim.controllers.items()},
-        sim._rng.bit_generator.state,
-    )
-
-
 class TestCameraStepEquivalence:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_fast_matches_naive_both_grid_variants(self, seed):
-        config = _config(seed)
-        fast = _visible_state(_run(_config(seed), fast=True))
-        naive_grid = _visible_state(_run(config, fast=False,
-                                         use_grid=True))
-        naive_scan = _visible_state(_run(_config(seed), fast=False,
-                                         use_grid=False))
-        assert fast == naive_grid == naive_scan
+        goldens.assert_matches_path_golden(
+            f"camera.step.seed{seed}",
+            goldens.camera_state(_run(_config(seed))))
 
     def test_fixed_strategy_and_price_break_runs_match(self):
-        config = dict(comm_cost_weight=0.003,
-                      comm_weight_breaks=[(60.0, 0.03)])
-        fast = _visible_state(_run(_config(7, **config), fast=True,
-                                   self_aware=False))
-        naive = _visible_state(_run(_config(7, **config), fast=False,
-                                    self_aware=False))
-        assert fast == naive
+        config = _config(7, comm_cost_weight=0.003,
+                         comm_weight_breaks=[(60.0, 0.03)])
+        goldens.assert_matches_path_golden(
+            "camera.step.fixed_price_break",
+            goldens.camera_state(_run(config, self_aware=False)))
 
 
 class TestColumnScans:
-    """The vectorised scans against the naive network queries."""
+    """The scalar column scans against the reference network queries."""
 
     def _network_and_points(self, seed):
-        network = CameraNetwork.random(40, radius=0.2, seed=seed,
-                                       use_grid=False, fast=False)
+        network = CameraNetwork.random(40, radius=0.2, seed=seed)
         rng = np.random.default_rng(seed + 100)
         points = rng.random((200, 2)).tolist()
-        # Points exactly on a rim exercise the EXACT_REL band re-check.
+        # Points exactly on a rim exercise the exact predicate.
         cam = next(iter(network.cameras.values()))
         points.append([cam.x + cam.radius, cam.y])
         points.append([cam.x, cam.y + cam.radius * (1 - 1e-13)])
@@ -98,20 +81,21 @@ class TestColumnScans:
     def test_seeing_and_best_rows_match_naive(self, seed):
         network, points = self._network_and_points(seed)
         cols = CameraColumns(network)
+        answers = []
         for x, y in points:
-            obj = MovingObject(object_id=0, x=x, y=y)
-            assert [cols.id_list[r] for r in seeing_rows(cols, x, y)] \
-                == network.observers(obj)
-            row = best_observer_row(cols, x, y)
-            assert (None if row < 0 else cols.id_list[row]) \
-                == network.best_observer(obj)
+            row = best_observer_row_scalar(cols, x, y)
+            answers.append((seeing_ids_scalar(cols, x, y),
+                            None if row < 0 else cols.id_list[row]))
+        goldens.assert_matches_path_golden(f"camera.scans.seed{seed}",
+                                           answers)
 
     def test_possible_rows_is_a_superset_of_seeing(self):
         network, points = self._network_and_points(9)
         cols = CameraColumns(network)
         for x, y in points:
             possible = set(possible_rows(cols, x, y).tolist())
-            seen = set(seeing_rows(cols, x, y))
+            seen = {cols.row_of[cid]
+                    for cid in seeing_ids_scalar(cols, x, y)}
             assert seen <= possible
             # ...and excluded rows provably cannot see the point.
             for r in set(range(cols.n)) - possible:
@@ -120,14 +104,13 @@ class TestColumnScans:
                     > cols.radius_list[r]
 
     def test_network_fast_queries_dispatch_to_columns(self):
-        network = CameraNetwork.random(25, radius=0.22, seed=2,
-                                       use_grid=True, fast=True)
-        reference = CameraNetwork(list(network.cameras.values()),
-                                  use_grid=True, fast=False)
-        assert network.fast
+        network = CameraNetwork.random(25, radius=0.22, seed=2)
         rng = np.random.default_rng(77)
+        answers = []
         for i in range(100):
             x, y = rng.random(2)
             obj = MovingObject(object_id=i, x=float(x), y=float(y))
-            assert network.observers(obj) == reference.observers(obj)
-            assert network.best_observer(obj) == reference.best_observer(obj)
+            answers.append((network.observers(obj),
+                            network.best_observer(obj)))
+        goldens.assert_matches_path_golden("camera.network.queries",
+                                           answers)
