@@ -44,6 +44,31 @@ def assert_matches_path_golden(case, payload):
         f"{case} drifted from its committed golden payload")
 
 
+def record_path_goldens(payloads):
+    """Add ``payloads`` (case -> payload) to the committed path goldens.
+
+    Run once, on the parent of the change a new case is meant to guard;
+    the file keeps one case per line, sorted, so a diff shows exactly
+    which cases were added.
+    """
+    committed = dict(load(PATH_GOLDEN_PATH))
+    committed.update({case: json.loads(canonical(payload))
+                      for case, payload in payloads.items()})
+    lines = [f" {json.dumps(case)}: "
+             f"{json.dumps(committed[case], sort_keys=True)}"
+             for case in sorted(committed)]
+    with open(PATH_GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    _loaded.pop(PATH_GOLDEN_PATH, None)
+
+
+def serving_state(sim):
+    """A serving or cluster simulation's records, scores and RNG position."""
+    return {"records": sim.records, "metrics": sim.metrics(),
+            "snapshot": sim.snapshot(),
+            "rng": sim.rng.bit_generator.state}
+
+
 def camera_state(sim):
     """Everything a camera run leaves behind that a step could move."""
     return {

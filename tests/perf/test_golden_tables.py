@@ -15,15 +15,20 @@ import json
 
 import pytest
 
-from repro.api import (CameraConfig, CameraSimulator, SensornetConfig,
-                       SensornetSimulator, SwarmConfig, SwarmSimulator)
+from repro.api import (CameraConfig, CameraSimulator, ClusterConfig,
+                       SensornetConfig, SensornetSimulator, ServeConfig,
+                       SwarmConfig, SwarmSimulator)
 from repro.experiments import (ablations, e1_levels, e2_camera, e6_cpn,
                                e7_attention, e12_swarm, e13_resilience,
                                e14_serving, e16_cluster)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (CLOCK_SKEW, CRASH, FAULT_KINDS,
-                               SENSOR_DROPOUT, SENSOR_NOISE, FaultPlan,
-                               FaultSpec)
+                               SENSOR_DROPOUT, SENSOR_NOISE, WORKLOAD_SPIKE,
+                               FaultPlan, FaultSpec)
+from repro.obs.export import TelemetrySession
+from repro.serve.cluster import ClusterSimulation
+from repro.serve.simulation import ServingSimulation
+from repro.twin import TraceRecorder, TraceWorkload
 
 from . import goldens
 
@@ -168,6 +173,89 @@ def test_swarm_crash_run_matches_golden():
     })
 
 
+# -- serving: the simulated node and the cluster of them -----------------
+
+def _serve_config(**overrides):
+    return ServeConfig(**{"steps": 240, "seed": 1, "offered_load": 14.0,
+                          "warmup": 40, **overrides})
+
+
+def _cluster_config(**overrides):
+    return ClusterConfig(**{"steps": 240, "seed": 2, "warmup": 40,
+                            **overrides})
+
+
+def _serving_payload(sim, injector=None):
+    sim.run()
+    payload = goldens.serving_state(sim)
+    if injector is not None:
+        payload["fault_rng"] = injector._rng.bit_generator.state
+    return payload
+
+
+def _replay_payload(make_sim, live_config, replay_config):
+    """A live run recorded with telemetry on, then replayed as a trace."""
+    recorder = TraceRecorder(source="golden")
+    with TelemetrySession() as session:
+        recorder.attach(session.bus)
+        live = _serving_payload(make_sim(live_config))
+        recorder.detach()
+    workload = TraceWorkload.from_recorder(recorder)
+    replay = _serving_payload(make_sim(replay_config, workload=workload))
+    return {"live": live, "replay": replay}
+
+
+SERVE_RUNS = {
+    "self_aware": dict(governor="self_aware"),
+    "static": dict(governor="static"),
+    "scenario.flash_crowd": dict(scenario="flash_crowd"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERVE_RUNS))
+def test_serve_run_matches_golden(case):
+    goldens.assert_matches_path_golden(
+        f"serve.{case}",
+        _serving_payload(ServingSimulation(_serve_config(**SERVE_RUNS[case]))))
+
+
+SERVE_FAULTS = (CRASH, SENSOR_NOISE, WORKLOAD_SPIKE)
+
+
+def _serve_fault_payload(kind):
+    injector = FaultInjector(_plan(kind, 0.5, 60.0, 180.0, 9), run_seed=1)
+    return _serving_payload(
+        ServingSimulation(_serve_config(), faults=injector), injector)
+
+
+@pytest.mark.parametrize("kind", SERVE_FAULTS)
+def test_serve_fault_run_matches_golden(kind):
+    goldens.assert_matches_path_golden(f"serve.faults.{kind}",
+                                       _serve_fault_payload(kind))
+
+
+def test_serve_replay_matches_golden():
+    goldens.assert_matches_path_golden("serve.replay", _replay_payload(
+        ServingSimulation, _serve_config(), _serve_config(seed=7)))
+
+
+CLUSTER_RUNS = [(arm, traffic) for arm in ("collective", "per_node", "static")
+                for traffic in ("skewed", "flash")]
+
+
+@pytest.mark.parametrize("arm,traffic", CLUSTER_RUNS)
+def test_cluster_run_matches_golden(arm, traffic):
+    sim = ClusterSimulation(_cluster_config(governor=arm, traffic=traffic))
+    goldens.assert_matches_path_golden(f"cluster.{arm}.{traffic}",
+                                       _serving_payload(sim))
+
+
+def test_cluster_replay_matches_golden():
+    goldens.assert_matches_path_golden("cluster.replay", _replay_payload(
+        ClusterSimulation, _cluster_config(traffic="flash"),
+        _cluster_config(traffic="flash", seed=5)))
+
+
 def test_fault_runs_differ_from_clean_runs():
     """The counter-check: each pinned fault kind really reaches the step."""
     for kind in (CRASH, SENSOR_NOISE, SENSOR_DROPOUT):
@@ -178,3 +266,6 @@ def test_fault_runs_differ_from_clean_runs():
         faulted = _sensornet_fault_payload("salience", kind, 0.7, 0, 4)
         clean = _sensornet_fault_payload("salience", kind, 0.0, 0, 4)
         assert faulted["records"] != clean["records"], kind
+    clean = _serving_payload(ServingSimulation(_serve_config()))
+    for kind in SERVE_FAULTS:
+        assert _serve_fault_payload(kind)["records"] != clean["records"], kind
