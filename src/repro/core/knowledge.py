@@ -153,12 +153,6 @@ class History:
         """Values of the last ``window`` observations (all when ``None``)."""
         return [o.value for o in self._window(window)]
 
-    def values_naive(self, window: Optional[int] = None) -> List[float]:
-        """Reference full-copy window extraction."""
-        if window is None or window >= len(self._buffer):
-            return [o.value for o in self._buffer]
-        return [o.value for o in list(self._buffer)[-window:]]
-
     def mean(self, window: Optional[int] = None) -> float:
         """Mean of the retained (or last-``window``) values; NaN when empty."""
         cached = self._cached("mean", window)
@@ -168,13 +162,6 @@ class History:
         if not vals:
             return self._store("mean", window, math.nan)
         return self._store("mean", window, sum(vals) / len(vals))
-
-    def mean_naive(self, window: Optional[int] = None) -> float:
-        """Reference mean over a freshly copied window."""
-        vals = self.values_naive(window)
-        if not vals:
-            return math.nan
-        return sum(vals) / len(vals)
 
     def std(self, window: Optional[int] = None) -> float:
         """Population standard deviation of retained values; NaN when empty."""
@@ -189,14 +176,6 @@ class History:
             "std", window,
             math.sqrt(sum((v - mu) ** 2 for v in vals) / len(vals)))
 
-    def std_naive(self, window: Optional[int] = None) -> float:
-        """Reference standard deviation over a freshly copied window."""
-        vals = self.values_naive(window)
-        if not vals:
-            return math.nan
-        mu = sum(vals) / len(vals)
-        return math.sqrt(sum((v - mu) ** 2 for v in vals) / len(vals))
-
     def trend(self, window: Optional[int] = None) -> float:
         """Least-squares slope of value against time over the window.
 
@@ -209,13 +188,6 @@ class History:
             return cached
         obs = self._window(window)
         return self._store("trend", window, self._trend_of(obs))
-
-    def trend_naive(self, window: Optional[int] = None) -> float:
-        """Reference slope computation over a freshly copied window."""
-        obs = list(self._buffer)
-        if window is not None and window < len(obs):
-            obs = obs[-window:]
-        return self._trend_of(obs)
 
     @staticmethod
     def _trend_of(obs: List[Observation]) -> float:

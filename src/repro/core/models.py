@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Tuple
 
 
@@ -50,31 +49,6 @@ class PredictiveModel(ABC):
         hierarchical supervisor invokes it when it judges a child's
         knowledge to be stale beyond repair.
         """
-
-
-@dataclass
-class _RunningStats:
-    """Incremental mean/variance (Welford) for one metric of one action."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
 
 
 class EmpiricalActionModel(PredictiveModel):

@@ -25,8 +25,14 @@ mirroring :data:`repro.api.SIMULATORS`: ``diurnal``, ``heavy_tail``
 
 Determinism: ``scenario.render(ticks, seed)`` derives every stochastic
 node's generator from ``default_rng([0x5CE4A, seed, *tree_path])``, so
-the same spec and seed render byte-identical tracks regardless of how
-the spec was composed or evaluated.
+the same spec, ticks and seed render a byte-identical track.  The tree
+path is part of that key: re-grouping or reordering a composition
+(``(a + b) + c`` against ``a + (b + c)``, or ``b + a`` against
+``a + b``) moves stochastic parts to other paths and changes their
+draws.  What composition does preserve is each part's own contribution:
+replacing one part of a ``+`` or a ``then`` leaves every other part's
+contribution byte-identical, and a deterministic part renders inside a
+``then`` segment exactly as it renders alone.
 
 Session mixes (:class:`SessionMix` and friends) describe how one offered
 load splits over a session population; the cluster substrate's
@@ -166,7 +172,9 @@ class Scenario:
 
         Each node in the spec tree draws from its own generator seeded
         by ``(root, seed, tree path)``, so rendering is deterministic in
-        ``(spec, ticks, seed)`` and stable under recomposition.
+        ``(spec, ticks, seed)``.  Re-grouping or reordering the spec
+        moves parts to other tree paths, and so re-keys the draws of
+        its stochastic parts.
         """
         if ticks <= 0:
             raise ValueError("ticks must be positive")

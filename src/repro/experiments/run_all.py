@@ -40,7 +40,7 @@ from typing import List, Optional
 from ..obs import TelemetrySession
 from .engine import (DEFAULT_CACHE_DIR, EngineReport, RetryPolicy, SuiteJob,
                      run_suite)
-from .harness import ExperimentTable, print_tables, write_markdown_report
+from .harness import print_tables, write_markdown_report
 
 _PKG = "repro.experiments"
 
@@ -181,21 +181,6 @@ def collect_report(quick: bool = False,
     return run_suite(suite_jobs(quick=quick), n_jobs=jobs, cache=cache,
                      cache_dir=cache_dir, telemetry=telemetry,
                      progress=progress, retry=retry)
-
-
-def collect_tables(quick: bool = False,
-                   telemetry: Optional[TelemetrySession] = None,
-                   jobs: int = 1,
-                   cache: bool = False,
-                   cache_dir: str = DEFAULT_CACHE_DIR
-                   ) -> List[ExperimentTable]:
-    """Run every experiment; returns all tables in DESIGN.md order.
-
-    With a ``telemetry`` session, each shard runs instrumented and its
-    tables record wall-clock/step-rate provenance in their notes.
-    """
-    return collect_report(quick=quick, telemetry=telemetry, jobs=jobs,
-                          cache=cache, cache_dir=cache_dir).tables
 
 
 def main() -> None:

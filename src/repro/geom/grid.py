@@ -1,19 +1,12 @@
 """A uniform-cell spatial hash over the plane.
 
-Two index modes, matching the two hot queries of the simulators:
+Index a set of points (:meth:`insert_point`), then ask which of them
+*might* lie within ``r`` of a query point (:meth:`candidates_near`),
+answered by scanning the cells overlapping the query's bounding box.
 
-- **disc mode** (:meth:`insert_disc` + :meth:`candidates_at`): index a set
-  of discs (camera fields of view, robot sensing ranges); query which
-  discs *might* contain a point.  Each disc is registered in every cell
-  its bounding box overlaps, so the single cell containing the query
-  point is guaranteed to list every disc that actually contains it.
-- **point mode** (:meth:`insert_point` + :meth:`candidates_near`): index a
-  set of points; query which points *might* lie within ``r`` of a query
-  point by scanning the cells overlapping the query's bounding box.
-
-Both queries return *supersets* of the exact answer, sorted by key;
-callers apply the original exact predicate (``hypot(...) <= radius``) to
-each candidate.  Because the exact predicate, the candidate order and
+The answer is a *superset* of the exact one, sorted by key; callers
+apply the original exact predicate (``hypot(...) <= radius``) to each
+candidate.  Because the exact predicate, the candidate order and
 the float arithmetic are unchanged, replacing a full scan with a grid
 query cannot change any result -- only how many non-matches are examined.
 
@@ -24,7 +17,7 @@ never need to clamp queries to an arena.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 
 class SpatialGrid:
@@ -33,11 +26,11 @@ class SpatialGrid:
     Parameters
     ----------
     cell_size:
-        Edge length of one square cell.  For disc mode a good choice is
-        the maximum disc radius; for point mode the typical query radius.
+        Edge length of one square cell; a good choice is the typical
+        query radius.
     """
 
-    __slots__ = ("cell_size", "_inv", "_cells", "_sets", "_finalised")
+    __slots__ = ("cell_size", "_inv", "_cells", "_finalised")
 
     def __init__(self, cell_size: float) -> None:
         if cell_size <= 0 or not math.isfinite(cell_size):
@@ -45,7 +38,6 @@ class SpatialGrid:
         self.cell_size = cell_size
         self._inv = 1.0 / cell_size
         self._cells: Dict[Tuple[int, int], List[int]] = {}
-        self._sets: Dict[Tuple[int, int], FrozenSet[int]] = {}
         self._finalised = False
 
     def __len__(self) -> int:
@@ -56,25 +48,8 @@ class SpatialGrid:
     def insert_point(self, key: int, x: float, y: float) -> None:
         """Register a point under ``key`` (one cell)."""
         self._finalised = False
-        self._sets.clear()
         cell = (math.floor(x * self._inv), math.floor(y * self._inv))
         self._cells.setdefault(cell, []).append(key)
-
-    def insert_disc(self, key: int, x: float, y: float, radius: float) -> None:
-        """Register a disc under ``key`` in every cell its bbox overlaps."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        self._finalised = False
-        self._sets.clear()
-        inv = self._inv
-        x0 = math.floor((x - radius) * inv)
-        x1 = math.floor((x + radius) * inv)
-        y0 = math.floor((y - radius) * inv)
-        y1 = math.floor((y + radius) * inv)
-        cells = self._cells
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                cells.setdefault((ix, iy), []).append(key)
 
     def finalise(self) -> "SpatialGrid":
         """Sort every cell's bucket so candidate order is by key.
@@ -90,33 +65,8 @@ class SpatialGrid:
 
     # -- queries -----------------------------------------------------------
 
-    def candidates_at(self, x: float, y: float) -> List[int]:
-        """Disc mode: keys of every disc whose bbox covers ``(x, y)``.
-
-        Sorted by key; a superset of the discs actually containing the
-        point (the caller applies the exact containment predicate).
-        """
-        if not self._finalised:
-            self.finalise()
-        cell = (math.floor(x * self._inv), math.floor(y * self._inv))
-        return self._cells.get(cell, _EMPTY)
-
-    def candidate_set_at(self, x: float, y: float) -> FrozenSet[int]:
-        """Disc mode: :meth:`candidates_at` as a frozenset, cached per cell.
-
-        For membership-test pruning of an existing candidate list (keep
-        only entries that could match), where building a set per query
-        would cost more than the scan it avoids.
-        """
-        cell = (math.floor(x * self._inv), math.floor(y * self._inv))
-        cached = self._sets.get(cell)
-        if cached is None:
-            cached = frozenset(self._cells.get(cell, _EMPTY))
-            self._sets[cell] = cached
-        return cached
-
     def candidates_near(self, x: float, y: float, radius: float) -> List[int]:
-        """Point mode: keys of points in cells overlapping the query bbox.
+        """Keys of points in cells overlapping the query bbox.
 
         Sorted by key, deduplicated; a superset of the points actually
         within ``radius`` of ``(x, y)``.
@@ -139,5 +89,3 @@ class SpatialGrid:
             found = sorted(set(found))
         return found
 
-
-_EMPTY: List[int] = []

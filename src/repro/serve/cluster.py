@@ -7,7 +7,8 @@ level over the result.  Three pieces:
 * :class:`ServeCluster` -- N in-process servers sharing a consistent-
   hash ring (:mod:`repro.serve.ring`), an authoritative session
   placement map and a gossip board (:mod:`repro.serve.gossip`).  Each
-  node's governor is wrapped in a
+  node's governor comes from :func:`~repro.serve.governor.make_governor`;
+  under the collective arm it is a
   :class:`~repro.serve.governor.CollectiveGovernor`, so pool sizing and
   admission become collective decisions computed decentrally from
   gossiped self-models.  Sessions migrate between nodes through their
@@ -23,10 +24,11 @@ level over the result.  Three pieces:
 
 * :class:`ClusterSimulation` -- the deterministic discrete-time model
   experiment E16 scores: Zipf-skewed or flash-crowd traffic over ring-
-  placed sessions, per-node queues and admission, and the three
-  governor arms (``collective`` / ``per_node`` / ``static``) splitting
-  one cluster-wide worker budget.  Registered as the ``"cluster"``
-  substrate of :mod:`repro.api`.
+  placed sessions, routed to N copies of the one simulated serving node
+  (:class:`~repro.serve.simulation.SimNode`, the node E14 scores alone)
+  under the three governor arms (``collective`` / ``per_node`` /
+  ``static``) splitting one cluster-wide worker budget.  Registered as
+  the ``"cluster"`` substrate of :mod:`repro.api`.
 
 Determinism: all simulation randomness flows from
 ``default_rng([0xC105, seed])`` plus each governor's own seeded stream,
@@ -36,22 +38,23 @@ so a given ``(config, seed)`` replays byte-identically.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..api.configs import ClusterConfig
 from ..envgen.scenario import FlashMix, UniformMix, ZipfMix
-from ..metrics.stats import percentile_linear
 from ..obs import events as obs_events
-from .admission import ADMIT, AdmissionController
 from .config import ServerConfig
 from .gossip import GossipBoard
-from .governor import CollectiveGovernor, ServeGovernor, StaticGovernor
+from .governor import make_governor
 from .protocol import ErrorCode, error_code
 from .ring import HashRing
 from .server import Client, InProcessClient, SimulationServer
+from .simulation import SimNode, score_run
+
+#: The governor arms that split one cluster-wide worker budget.
+CLUSTER_ARMS = ("collective", "per_node", "static")
 
 
 # ---------------------------------------------------------------------------
@@ -93,33 +96,15 @@ class ServeCluster:
         for i, node_id in enumerate(self.node_ids):
             cfg = dataclasses.replace(base, node_id=node_id, port=0,
                                       seed=base.seed + i)
-            gov: Optional[Any]
-            if governor == "collective":
-                gov = CollectiveGovernor(
-                    ServeGovernor(slo_p95=cfg.slo_p95,
-                                  min_workers=cfg.min_workers,
-                                  max_workers=budget,
-                                  service_rate_guess=cfg.service_rate_guess,
-                                  seed=cfg.seed),
-                    node_id=node_id, board=self.board,
-                    worker_budget=budget, fallback_share=fair,
-                    min_workers=cfg.min_workers)
-            elif governor == "per_node":
-                gov = ServeGovernor(slo_p95=cfg.slo_p95,
-                                    min_workers=cfg.min_workers,
-                                    max_workers=fair,
-                                    service_rate_guess=cfg.service_rate_guess,
-                                    seed=cfg.seed)
-            elif governor == "static":
-                gov = StaticGovernor(pool_size=fair,
-                                     service_rate_guess=cfg.service_rate_guess,
-                                     slo_p95=cfg.slo_p95)
-            elif governor == "none":
+            gov = make_governor(
+                governor, CLUSTER_ARMS + ("none",), pool_size=fair,
+                max_workers=fair, min_workers=cfg.min_workers,
+                slo_p95=cfg.slo_p95,
+                service_rate_guess=cfg.service_rate_guess, seed=cfg.seed,
+                worker_budget=budget, board=self.board, node_id=node_id)
+            if gov is None:
                 # governor=None makes the node build config.governor.
-                gov = None
                 cfg = dataclasses.replace(cfg, governor="none")
-            else:
-                raise ValueError(f"unknown cluster governor {governor!r}")
             self.servers[node_id] = SimulationServer(
                 cfg, ring=self.ring, placements=self.placements,
                 board=self.board, governor=gov)
@@ -250,38 +235,14 @@ class ClusterClient(Client):
 # ---------------------------------------------------------------------------
 
 
-class _SimNode:
-    """Per-node queueing state inside :class:`ClusterSimulation`."""
-
-    def __init__(self, node_id: str, governor: Any, pool: int,
-                 config: ClusterConfig) -> None:
-        self.node_id = node_id
-        self.governor = governor
-        self.pool = pool
-        capacity = max(1e-6, pool * config.per_worker_rate)
-        self.admission = AdmissionController(
-            rate=capacity * config.admit_headroom,
-            burst=max(1.0, capacity),
-            max_queue=max(1.0, math.ceil(
-                capacity * max(1.0, config.slo_p95 - 2.0))))
-        #: FIFO queue of [arrival_tick, remaining_demand].
-        self.queue: "deque[List[float]]" = deque()
-        self.pending_boots: List[List[float]] = []  # [ready_tick, count]
-        self.recent_arrivals: "deque[int]" = deque(maxlen=config.stats_window)
-        self.recent_latencies: "deque[float]" = deque(
-            maxlen=config.latency_window)
-        self.completions = 0
-        self.good = 0
-        self.utilisation = 0.0
-
-
 class ClusterSimulation:
     """Cluster goodput under skewed and flash-crowd traffic.
 
     ``sessions`` client sessions are placed on the ring by id; traffic
     splits over them by a popularity profile (Zipf for the skewed tier,
     a flash-crowd window for the flash tier), so node load is as uneven
-    as real placement makes it.  Each node runs the real
+    as real placement makes it.  Each node is a
+    :class:`~repro.serve.simulation.SimNode` -- the real
     :class:`~repro.serve.admission.AdmissionController` and one of the
     three governor arms over a shared cluster-wide worker budget; the
     collective arm additionally rebalances sessions -- the simulated
@@ -295,9 +256,6 @@ class ClusterSimulation:
         #: Replay source (:class:`repro.twin.TraceWorkload`): recorded
         #: per-session counts replace the Poisson/multinomial draws.
         self.workload = workload
-        if self.config.governor not in ("collective", "per_node", "static"):
-            raise ValueError(
-                f"unknown cluster governor {self.config.governor!r}")
         if self.config.traffic not in ("skewed", "flash", "uniform"):
             raise ValueError(f"unknown traffic tier {self.config.traffic!r}")
         if self.config.worker_budget < self.config.nodes:
@@ -310,34 +268,9 @@ class ClusterSimulation:
         cfg = self.config
         return max(cfg.min_workers, cfg.worker_budget // cfg.nodes)
 
-    def _make_governor(self, node_id: str, seed: int) -> Any:
-        cfg = self.config
-        fair = self._fair_share()
-        if cfg.governor == "static":
-            return StaticGovernor(pool_size=fair,
-                                  service_rate_guess=cfg.per_worker_rate,
-                                  admit_headroom=cfg.admit_headroom,
-                                  slo_p95=cfg.slo_p95)
-        base_max = cfg.worker_budget if cfg.governor == "collective" else fair
-        base = ServeGovernor(slo_p95=cfg.slo_p95,
-                             min_workers=cfg.min_workers,
-                             max_workers=base_max,
-                             service_rate_guess=cfg.per_worker_rate,
-                             admit_headroom=cfg.admit_headroom,
-                             epsilon=cfg.epsilon, seed=seed)
-        if cfg.governor == "per_node":
-            return base
-        return CollectiveGovernor(
-            base, node_id=node_id, board=self.board,
-            worker_budget=cfg.worker_budget, fallback_share=fair,
-            min_workers=cfg.min_workers,
-            sessions_fn=lambda n=node_id: sum(
-                1 for owner in self.placements.values() if owner == n))
-
     def reset(self, seed: Optional[int] = None) -> "ClusterSimulation":
         cfg = self.config
         seed = cfg.seed if seed is None else seed
-        self._seed = seed
         self.rng = np.random.default_rng([0xC105, seed])
         # Traffic tiers are Scenario session mixes; the expressions are
         # byte-identical to the generators this class used to inline
@@ -366,10 +299,21 @@ class ClusterSimulation:
             sid: self.ring.owner(sid) for sid in self.session_ids}
         self.board = GossipBoard(ttl=cfg.gossip_ttl)
         fair = self._fair_share()
-        self.nodes: Dict[str, _SimNode] = {}
+        self._all_latencies: List[List[float]] = []
+        self.nodes: Dict[str, SimNode] = {}
         for i, node_id in enumerate(self.node_ids):
-            governor = self._make_governor(node_id, seed * 31 + i)
-            self.nodes[node_id] = _SimNode(node_id, governor, fair, cfg)
+            governor = make_governor(
+                cfg.governor, CLUSTER_ARMS, pool_size=fair, max_workers=fair,
+                min_workers=cfg.min_workers, slo_p95=cfg.slo_p95,
+                service_rate_guess=cfg.per_worker_rate, seed=seed * 31 + i,
+                admit_headroom=cfg.admit_headroom, epsilon=cfg.epsilon,
+                worker_budget=cfg.worker_budget, board=self.board,
+                node_id=node_id,
+                sessions_fn=lambda n=node_id: sum(
+                    1 for owner in self.placements.values() if owner == n))
+            self.nodes[node_id] = SimNode(
+                governor, fair, cfg, self.rng, self._all_latencies,
+                min_pool=cfg.min_workers)
         #: Measured per-session arrival EWMA (requests/tick) -- what the
         #: rebalancer acts on; the generator's true weights stay hidden.
         self._sess_rate: Dict[str, float] = {
@@ -377,7 +321,6 @@ class ClusterSimulation:
         #: Sessions whose arrivals are dropped until the noted tick
         #: (in-flight migration).
         self._frozen: Dict[str, float] = {}
-        self._all_latencies: List[List[float]] = []
         self.records: List[Dict[str, float]] = []
         self.migrations = 0
         self._govern_ticks = 0
@@ -396,18 +339,14 @@ class ClusterSimulation:
         cfg = self.config
         t = self._t
 
-        # Ordered scale-ups come online (global budget enforced).
+        # Ordered scale-ups come online; the collective arm grants them
+        # within the shared budget.
         total_pool = sum(node.pool for node in self.nodes.values())
-        for node_id in self.node_ids:
-            node = self.nodes[node_id]
-            for boot in [b for b in node.pending_boots if b[0] <= t]:
-                grant = int(boot[1])
-                if cfg.governor == "collective":
-                    grant = min(grant, cfg.worker_budget - total_pool)
-                if grant > 0:
-                    node.pool += grant
-                    total_pool += grant
-                node.pending_boots.remove(boot)
+        for node in self.nodes.values():
+            before = node.pool
+            node.boot(t, before + max(0, cfg.worker_budget - total_pool)
+                      if cfg.governor == "collective" else math.inf)
+            total_pool += node.pool - before
 
         # Arrivals: one Poisson draw split over sessions by popularity,
         # routed to each session's placed node through its admission.
@@ -424,7 +363,6 @@ class ClusterSimulation:
             offered_total = int(self.rng.poisson(rate))
             counts = self.rng.multinomial(offered_total, self._weights(t))
         admitted_total = 0
-        offered_at: Dict[str, int] = {n: 0 for n in self.node_ids}
         for j, sid in enumerate(self.session_ids):
             arrivals = int(counts[j])
             rate = self._sess_rate[sid]
@@ -433,41 +371,16 @@ class ClusterSimulation:
                 continue
             if self._frozen.get(sid, -1.0) > t:
                 continue  # migration freeze: dropped, counted as shed
-            node = self.nodes[self.placements[sid]]
-            offered_at[node.node_id] += arrivals
-            for _ in range(arrivals):
-                if node.admission.admit(t, len(node.queue)) is ADMIT:
-                    node.queue.append(
-                        [t, float(self.rng.exponential(cfg.mean_service))])
-                    admitted_total += 1
+            admitted_total += self.nodes[self.placements[sid]].admit(
+                t, arrivals)
         shed_total = offered_total - admitted_total
 
         # Service: each pool drains its work budget FIFO.
         completions_total = 0
         good_total = 0
         queue_total = 0
-        for node_id in self.node_ids:
-            node = self.nodes[node_id]
-            node.recent_arrivals.append(offered_at[node_id])
-            budget = node.pool * cfg.per_worker_rate
-            capacity = max(1e-9, budget)
-            served = 0.0
-            node.completions = node.good = 0
-            while node.queue and budget > 1e-12:
-                head = node.queue[0]
-                take = min(budget, head[1])
-                head[1] -= take
-                budget -= take
-                served += take
-                if head[1] <= 1e-12:
-                    node.queue.popleft()
-                    latency = t - head[0] + 1.0
-                    node.recent_latencies.append(latency)
-                    self._all_latencies.append([t, latency])
-                    node.completions += 1
-                    if latency <= cfg.slo_p95:
-                        node.good += 1
-            node.utilisation = served / capacity
+        for node in self.nodes.values():
+            node.drain(t, node.pool)
             completions_total += node.completions
             good_total += node.good
             queue_total += len(node.queue)
@@ -475,22 +388,8 @@ class ClusterSimulation:
         # Governance: each node senses itself and decides; the
         # collective arm also gossips and splits the budget.
         if int(t) % cfg.govern_every == 0:
-            for node_id in self.node_ids:
-                node = self.nodes[node_id]
-                p95 = (percentile_linear(node.recent_latencies, 95.0)
-                       if node.recent_latencies else 0.0)
-                arrival = (sum(node.recent_arrivals)
-                           / max(1, len(node.recent_arrivals)))
-                decision = node.governor.tick(t, {
-                    "queue_depth": float(len(node.queue)),
-                    "arrival_rate": float(arrival),
-                    "p95_latency": p95,
-                    "utilisation": min(1.0, node.utilisation),
-                    "shed_fraction": node.admission.shed_fraction(),
-                    "pool_size": float(node.pool),
-                    "completion_rate": float(node.completions),
-                })
-                self._apply(t, node, decision)
+            for node in self.nodes.values():
+                node.govern(t, node.readings(node.pool))
                 self._govern_ticks += 1
                 if getattr(node.governor, "collective", False):
                     self._collective_ticks += 1
@@ -519,28 +418,6 @@ class ClusterSimulation:
                             by_session=by_session)
         self._t += 1.0
         return record
-
-    def _apply(self, t: float, node: _SimNode, decision: Any) -> None:
-        cfg = self.config
-        target = int(decision.pool_target)
-        booked = node.pool + sum(int(b[1]) for b in node.pending_boots)
-        if target > booked:
-            node.pending_boots.append([t + cfg.boot_delay, target - booked])
-        elif target < booked:
-            shrink = booked - target
-            for boot in list(reversed(node.pending_boots)):
-                if shrink <= 0:
-                    break
-                cancel = min(shrink, int(boot[1]))
-                boot[1] -= cancel
-                shrink -= cancel
-                if boot[1] <= 0:
-                    node.pending_boots.remove(boot)
-            if shrink > 0:
-                node.pool = max(cfg.min_workers, node.pool - shrink)
-        node.admission.configure(t, rate=decision.admission_rate,
-                                 burst=decision.admission_burst,
-                                 max_queue=decision.max_queue)
 
     def _rebalance(self, t: float) -> None:
         """Move one session off the most overloaded node, if any.
@@ -600,34 +477,14 @@ class ClusterSimulation:
                 "steps_taken": len(self.records)}
 
     def metrics(self) -> Dict[str, float]:
-        """Scored over the post-warmup window, like the E14 substrate."""
-        cfg = self.config
-        warmup = min(cfg.warmup, max(0, len(self.records) - 1))
-        window = self.records[warmup:]
-        if not window:
-            return {"goodput": 0.0, "p95_latency": float("nan"),
-                    "shed_fraction": 0.0, "mean_pool": 0.0,
-                    "slo_attainment": 0.0, "offered": 0.0,
-                    "migrations": 0.0, "collective_fraction": 0.0}
-        ticks = float(len(window))
-        offered = sum(r["offered"] for r in window)
-        shed = sum(r["shed"] for r in window)
-        completions = sum(r["completions"] for r in window)
-        good = sum(r["good"] for r in window)
-        latencies = [lat for tick, lat in self._all_latencies
-                     if tick >= warmup]
-        return {
-            "goodput": good / ticks,
-            "p95_latency": (percentile_linear(latencies, 95.0)
-                            if latencies else float("nan")),
-            "shed_fraction": shed / offered if offered else 0.0,
-            "mean_pool": sum(r["pool"] for r in window) / ticks,
-            "slo_attainment": good / completions if completions else 0.0,
-            "offered": offered / ticks,
-            "migrations": float(self.migrations),
-            "collective_fraction": (self._collective_ticks
-                                    / max(1, self._govern_ticks)),
-        }
+        """Scored like the E14 substrate (see
+        :func:`~repro.serve.simulation.score_run`), plus migrations and
+        the share of governor ticks taken on fresh gossip."""
+        return {**score_run(self.records, self._all_latencies,
+                            self.config.warmup),
+                "migrations": float(self.migrations),
+                "collective_fraction": (self._collective_ticks
+                                        / max(1, self._govern_ticks))}
 
     def run(self) -> List[Dict[str, float]]:
         for _ in range(self.config.steps):

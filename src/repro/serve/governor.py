@@ -37,9 +37,9 @@ against the asyncio server's wall clock and inside the discrete-time
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Mapping, Optional
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +58,20 @@ from .gossip import GossipBoard, NodeSelfView, budget_shares
 #: The telemetry phenomena the governor senses each tick.
 STAT_KEYS = ("queue_depth", "arrival_rate", "p95_latency", "utilisation",
              "shed_fraction", "pool_size", "completion_rate")
+
+
+def admission_settings(capacity: float, *, headroom: float,
+                       slo_p95: float) -> Tuple[float, float, float]:
+    """Admission ``(rate, burst, max_queue)`` sized to a pool's capacity.
+
+    ``capacity`` is the work the pool serves per unit time.  The rate
+    admits ``headroom`` times that, the burst is one unit time of it,
+    and the queue bound holds ``slo_p95 - 2`` (at least one) units of
+    drain time: a queue no deeper than that keeps waiting time inside
+    the SLO by construction, whatever the self-model currently believes.
+    """
+    return (capacity * headroom, max(1.0, capacity),
+            max(1.0, math.ceil(capacity * max(1.0, slo_p95 - 2.0))))
 
 
 def make_serve_goal(*, slo_p95: float, max_workers: int,
@@ -203,7 +217,7 @@ class ServeSelfModel(PredictiveModel):
         return maturity * accuracy
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class GovernorDecision:
     """One act of self-expression: the settings the serving layer should adopt."""
 
@@ -229,7 +243,6 @@ class ServeGovernor:
                  max_workers: int = 16, service_rate_guess: float = 4.0,
                  admit_headroom: float = 1.25,
                  degraded_admission: float = 0.5,
-                 queue_ticks: Optional[float] = None,
                  epsilon: float = 0.02, seed: int = 0) -> None:
         if not 1 <= min_workers <= max_workers:
             raise ValueError("need 1 <= min_workers <= max_workers")
@@ -242,11 +255,6 @@ class ServeGovernor:
         self.max_workers = max_workers
         self.admit_headroom = admit_headroom
         self.degraded_admission = degraded_admission
-        # Queue bound in ticks of drain time: a queue no deeper than
-        # (slo - 2) ticks of capacity keeps waiting time inside the SLO
-        # by construction, whatever the self-model currently believes.
-        self.queue_ticks = (max(1.0, slo_p95 - 2.0) if queue_ticks is None
-                            else queue_ticks)
         self._stats: Dict[str, float] = dict.fromkeys(STAT_KEYS, 0.0)
         self.model = ServeSelfModel(service_rate_guess=service_rate_guess,
                                     slo_p95=slo_p95)
@@ -284,6 +292,17 @@ class ServeGovernor:
     @property
     def degraded(self) -> bool:
         return self.monitor.degraded
+
+    def admission_for(self, pool: int,
+                      degraded: bool) -> Tuple[float, float, float]:
+        """Admission settings for ``pool`` workers at the learned service
+        rate; while ``degraded`` the rate is cut by ``degraded_admission``."""
+        rate, burst, max_queue = admission_settings(
+            pool * self.model.service_estimate,
+            headroom=self.admit_headroom, slo_p95=self.slo_p95)
+        if degraded:
+            rate *= self.degraded_admission
+        return max(1e-6, rate), burst, max_queue
 
     # ------------------------------------------------------------------
 
@@ -339,16 +358,13 @@ class ServeGovernor:
 
             # 4. Express: derive admission settings from the chosen
             #    capacity.
-            capacity = pool * self.model.service_estimate
-            admission_rate = capacity * self.admit_headroom
             degraded = self.monitor.degraded
-            if degraded:
-                admission_rate *= self.degraded_admission
+            rate, burst, max_queue = self.admission_for(pool, degraded)
             decision = GovernorDecision(
                 pool_target=pool,
-                admission_rate=max(1e-6, admission_rate),
-                admission_burst=max(1.0, capacity),
-                max_queue=max(1.0, math.ceil(capacity * self.queue_ticks)),
+                admission_rate=rate,
+                admission_burst=burst,
+                max_queue=max_queue,
                 serve_stale=degraded,
                 degraded=degraded,
                 reason=result.decision.reason,
@@ -412,22 +428,19 @@ class StaticGovernor:
     """
 
     def __init__(self, *, pool_size: int, service_rate_guess: float = 4.0,
-                 admit_headroom: float = 1.25, slo_p95: float = 8.0,
-                 queue_ticks: Optional[float] = None) -> None:
+                 admit_headroom: float = 1.25,
+                 slo_p95: float = 8.0) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        capacity = pool_size * service_rate_guess
-        ticks = max(1.0, slo_p95 - 2.0) if queue_ticks is None else queue_ticks
+        rate, burst, max_queue = admission_settings(
+            pool_size * service_rate_guess, headroom=admit_headroom,
+            slo_p95=slo_p95)
         self._decision = GovernorDecision(
-            pool_target=pool_size,
-            admission_rate=capacity * admit_headroom,
-            admission_burst=max(1.0, capacity),
-            max_queue=max(1.0, math.ceil(capacity * ticks)),
+            pool_target=pool_size, admission_rate=rate,
+            admission_burst=burst, max_queue=max_queue,
             serve_stale=False, degraded=False,
             reason="static design-time configuration")
         self._pool = pool_size
-        self._service_rate_guess = service_rate_guess
-        self._last_stats: Dict[str, float] = {}
 
     @property
     def pool_target(self) -> int:
@@ -438,33 +451,19 @@ class StaticGovernor:
         return False
 
     def tick(self, now: float, stats: Mapping[str, float]) -> GovernorDecision:
-        self._last_stats = dict(stats)
         return self._decision
 
     def explain(self) -> str:
         return (f"Static governor: pool fixed at {self._pool} at design "
-                f"time; telemetry is collected but never consulted.")
-
-    def self_view(self, now: float, node_id: str, *,
-                  sessions: int = 0) -> NodeSelfView:
-        """A design-time self-view: measured stats, spec-sheet capacity."""
-        stats = getattr(self, "_last_stats", {})
-        return NodeSelfView(
-            node=node_id, time=now,
-            arrival_rate=float(stats.get("arrival_rate", 0.0)),
-            service_rate=float(self._service_rate_guess),
-            pool=int(self._pool),
-            queue_depth=float(stats.get("queue_depth", 0.0)),
-            utilisation=float(stats.get("utilisation", 0.0)),
-            confidence=1.0, degraded=False, sessions=int(sessions))
+                f"time; telemetry is never consulted.")
 
 
-class CollectiveGovernor:
+class CollectiveGovernor(ServeGovernor):
     """A per-node governor made collectively self-aware through gossip.
 
-    Wraps a :class:`ServeGovernor` (the node's learned self-model and
-    deliberation stay untouched) and closes the paper's collective
-    level over it:
+    Extends a :class:`ServeGovernor` choosing up to ``worker_budget``
+    workers (the node's learned self-model and deliberation stay
+    untouched) and closes the paper's collective level over it:
 
     * after every base tick, the node's *learned* self-view is
       published to the cluster's :class:`~repro.serve.gossip.GossipBoard`;
@@ -481,52 +480,29 @@ class CollectiveGovernor:
       sharpens decisions; it is never a correctness dependency.
     """
 
-    def __init__(self, base: ServeGovernor, *, node_id: str,
-                 board: GossipBoard, worker_budget: int,
-                 fallback_share: int, min_workers: int = 1,
-                 sessions_fn: Optional[Callable[[], int]] = None) -> None:
-        if worker_budget < 1:
-            raise ValueError("worker_budget must be >= 1")
-        if not 1 <= min_workers <= fallback_share <= worker_budget:
+    def __init__(self, *, node_id: str, board: GossipBoard,
+                 worker_budget: int, fallback_share: int,
+                 sessions_fn: Optional[Callable[[], int]] = None,
+                 **governor: Any) -> None:
+        super().__init__(max_workers=worker_budget, **governor)
+        if not self.min_workers <= fallback_share <= worker_budget:
             raise ValueError(
                 "need 1 <= min_workers <= fallback_share <= worker_budget")
-        self.base = base
         self.node_id = node_id
         self.board = board
         self.worker_budget = worker_budget
         self.fallback_share = fallback_share
-        self.min_workers = min_workers
         self._sessions_fn = sessions_fn
         #: Whether the last tick ran on fresh gossip (False = fallback).
         self.collective = False
         #: This node's last budget share.
         self.share = fallback_share
 
-    @property
-    def pool_target(self) -> int:
-        return self.base.pool_target
-
-    @property
-    def degraded(self) -> bool:
-        return self.base.degraded
-
-    @property
-    def model(self) -> ServeSelfModel:
-        return self.base.model
-
-    @property
-    def monitor(self) -> DegradationMonitor:
-        return self.base.monitor
-
-    @property
-    def last_decision_seq(self) -> Optional[int]:
-        return self.base.last_decision_seq
-
     def tick(self, now: float, stats: Mapping[str, float]) -> GovernorDecision:
-        decision = self.base.tick(now, stats)
+        decision = super().tick(now, stats)
         sessions = self._sessions_fn() if self._sessions_fn is not None else 0
-        self.board.publish(
-            self.base.self_view(now, self.node_id, sessions=sessions))
+        self.board.publish(self.self_view(now, self.node_id,
+                                          sessions=sessions))
         views = self.board.fresh(now)
         if len(views) >= 2 and self.node_id in views:
             shares = budget_shares(views, budget=self.worker_budget,
@@ -538,23 +514,16 @@ class CollectiveGovernor:
             self.collective = False
         self.share = share
         pool = max(self.min_workers, min(decision.pool_target, share))
-        capacity = pool * self.base.model.service_estimate
-        rate = capacity * self.base.admit_headroom
-        if decision.degraded:
-            rate *= self.base.degraded_admission
-        clamped = GovernorDecision(
-            pool_target=pool,
-            admission_rate=max(1e-6, rate),
-            admission_burst=max(1.0, capacity),
-            max_queue=max(1.0, math.ceil(capacity * self.base.queue_ticks)),
-            serve_stale=decision.serve_stale,
-            degraded=decision.degraded,
+        rate, burst, max_queue = self.admission_for(pool, decision.degraded)
+        clamped = dataclasses.replace(
+            decision, pool_target=pool, admission_rate=rate,
+            admission_burst=burst, max_queue=max_queue,
             reason=(f"{decision.reason}; collective budget share {share}"
                     f"/{self.worker_budget}"
                     if self.collective else
                     f"{decision.reason}; gossip stale, per-node fallback "
                     f"cap {share}"))
-        self.base._pool = pool  # the clamp is the pool the node realises
+        self._pool = pool  # the clamp is the pool the node realises
         if obs_events.enabled():
             obs_events.emit("cluster.share", time=now, node=self.node_id,
                             share=share, pool=pool,
@@ -562,14 +531,44 @@ class CollectiveGovernor:
                             budget=self.worker_budget)
         return clamped
 
-    def self_view(self, now: float, node_id: Optional[str] = None, *,
-                  sessions: int = 0) -> NodeSelfView:
-        return self.base.self_view(now, node_id or self.node_id,
-                                   sessions=sessions)
-
     def explain(self) -> str:
         mode = (f"collective: budget share {self.share}/{self.worker_budget} "
                 f"from {len(self.board)} gossiped self-models"
                 if self.collective else
                 f"fallback: gossip stale, per-node cap {self.fallback_share}")
-        return f"{self.base.explain()} Cluster state: {mode}."
+        return f"{super().explain()} Cluster state: {mode}."
+
+
+def make_governor(arm: str, arms: Tuple[str, ...], *, pool_size: int,
+                  max_workers: int, min_workers: int, slo_p95: float,
+                  service_rate_guess: float, seed: int,
+                  worker_budget: int = 0,
+                  board: Optional[GossipBoard] = None, node_id: str = "",
+                  sessions_fn: Optional[Callable[[], int]] = None,
+                  **tuning: float) -> Optional[Any]:
+    """The governor arm named ``arm``, one of the caller's ``arms``.
+
+    ``"static"`` fixes ``pool_size`` workers; ``"self_aware"`` and
+    ``"per_node"`` choose up to ``max_workers``; ``"collective"`` chooses
+    within its gossiped share of ``worker_budget`` (``max_workers`` while
+    gossip is stale); ``"none"`` is no governor.  ``tuning``
+    (``admit_headroom``, ``epsilon``) is forwarded only when given.
+    """
+    if arm not in arms:
+        raise ValueError(
+            f"unknown governor {arm!r}; known: {', '.join(arms)}")
+    if arm == "none":
+        return None
+    if arm == "static":
+        tuning.pop("epsilon", None)  # a fixed pool never explores
+        return StaticGovernor(pool_size=pool_size,
+                              service_rate_guess=service_rate_guess,
+                              slo_p95=slo_p95, **tuning)
+    tuning.update(slo_p95=slo_p95, min_workers=min_workers,
+                  service_rate_guess=service_rate_guess, seed=seed)
+    if arm == "collective":
+        return CollectiveGovernor(node_id=node_id, board=board,
+                                  worker_budget=worker_budget,
+                                  fallback_share=max_workers,
+                                  sessions_fn=sessions_fn, **tuning)
+    return ServeGovernor(max_workers=max_workers, **tuning)

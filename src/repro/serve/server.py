@@ -66,7 +66,7 @@ from .admission import ADMIT, AdmissionController
 from .batching import BatchDispatcher, StepRequest
 from .config import ServerConfig
 from .gossip import GossipBoard
-from .governor import ServeGovernor, StaticGovernor
+from .governor import make_governor
 from .protocol import (PROTOCOL_VERSION, CapabilityError, ErrorCode,
                        check_version, error_code, error_response, ok_response)
 from .ring import HashRing
@@ -136,22 +136,12 @@ class SimulationServer:
                                              max_queue=cfg.max_queue)
         self.govern_interval = cfg.govern_interval
         self.serve_stale = False
-        if governor is not None:
-            self.governor: Optional[Any] = governor
-        elif cfg.governor == "self_aware":
-            self.governor = ServeGovernor(
-                slo_p95=cfg.slo_p95, min_workers=cfg.min_workers,
-                max_workers=cfg.max_workers,
-                service_rate_guess=cfg.service_rate_guess, seed=cfg.seed)
-        elif cfg.governor == "static":
-            self.governor = StaticGovernor(
-                pool_size=max(1, cfg.workers),
-                service_rate_guess=cfg.service_rate_guess,
-                slo_p95=cfg.slo_p95)
-        elif cfg.governor == "none":
-            self.governor = None
-        else:
-            raise ValueError(f"unknown server governor {cfg.governor!r}")
+        self.governor: Optional[Any] = (
+            governor if governor is not None else make_governor(
+                cfg.governor, ("self_aware", "static", "none"),
+                pool_size=max(1, cfg.workers), max_workers=cfg.max_workers,
+                min_workers=cfg.min_workers, slo_p95=cfg.slo_p95,
+                service_rate_guess=cfg.service_rate_guess, seed=cfg.seed))
         self.requests_seen = 0
         self.requests_completed = 0
         self._window_requests = 0
@@ -586,9 +576,6 @@ class SimulationServer:
             await asyncio.sleep(self.govern_interval)
             now = self._clock()
             interval = self.govern_interval
-            latencies = sorted(self._latencies)
-            p95 = (latencies[int(0.95 * (len(latencies) - 1))]
-                   if latencies else 0.0)
             arrival = self._window_requests / interval
             completion = self._window_completions / interval
             service = getattr(getattr(self.governor, "model", None),
@@ -598,7 +585,7 @@ class SimulationServer:
                 "queue_depth": float(self._queue.qsize()
                                      if self._queue else 0),
                 "arrival_rate": arrival,
-                "p95_latency": p95,
+                "p95_latency": self._p95(),
                 "utilisation": min(1.0, arrival / capacity),
                 "shed_fraction": self.admission.shed_fraction(),
                 "pool_size": float(pool),
@@ -618,10 +605,13 @@ class SimulationServer:
 
     # -- introspection -----------------------------------------------------
 
-    def stats(self) -> Dict[str, Any]:
+    def _p95(self) -> float:
+        """Nearest-rank p95 of the recent request latencies, seconds."""
         latencies = sorted(self._latencies)
-        p95 = (latencies[int(0.95 * (len(latencies) - 1))]
-               if latencies else 0.0)
+        return (latencies[int(0.95 * (len(latencies) - 1))]
+                if latencies else 0.0)
+
+    def stats(self) -> Dict[str, Any]:
         stats = {
             "node": self.node_id,
             "sessions": len(self.sessions),
@@ -629,7 +619,7 @@ class SimulationServer:
             "evicted": self.sessions.evicted,
             "requests_seen": self.requests_seen,
             "requests_completed": self.requests_completed,
-            "p95_seconds": p95,
+            "p95_seconds": self._p95(),
             "workers": self.dispatcher.workers,
             "batches_run": self.dispatcher.batches_run,
             "degraded": (bool(self.governor.degraded)

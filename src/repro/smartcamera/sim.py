@@ -129,14 +129,6 @@ class CameraSimResult:
                   for r in self.records]
         return sum(scores) / len(scores)
 
-    def efficiency_between(self, t0: float, t1: float) -> float:
-        """Mean efficiency over steps with ``t0 <= time < t1``."""
-        scores = [r.tracking_utility - r.comm_weight * r.messages
-                  for r in self.records if t0 <= r.time < t1]
-        if not scores:
-            return math.nan
-        return sum(scores) / len(scores)
-
     def diversity_bits(self) -> float:
         """Entropy of strategy usage across cameras (see controller module)."""
         return strategy_entropy(self.controllers)

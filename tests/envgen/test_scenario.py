@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.envgen.scenario import (SCENARIOS, Concat, Constant,
                                    CorrelatedFailure, Diurnal, FlashCrowd,
@@ -152,3 +154,131 @@ class TestSessionMixes:
         assert track.mixes is not None
         assert track.mixes.shape == (20, 4)
         np.testing.assert_allclose(track.mixes.sum(axis=1), 1.0)
+
+
+# -- properties of the algebra ----------------------------------------------
+#
+# A node's generator is keyed by its tree path, so these pin what does
+# hold under composition -- not that composition is associative or
+# commutative for stochastic parts (it is not).
+
+_unit = st.floats(0.0, 1.0)
+# Deterministic primitives; every render is non-negative, so the final
+# clamp at zero never masks a part's contribution.
+_deterministic = st.one_of(
+    st.builds(Constant, level=st.floats(0.0, 5.0)),
+    st.builds(Diurnal, base=st.floats(1.0, 3.0), amplitude=_unit,
+              period=st.floats(5.0, 300.0), phase=st.floats(0.0, 6.0)),
+    st.builds(FlashCrowd, at=st.floats(0.0, 150.0),
+              length=st.floats(1.0, 80.0), factor=st.floats(0.0, 10.0)),
+    st.builds(CorrelatedFailure, at=st.floats(0.0, 150.0),
+              length=st.floats(1.0, 80.0), intensity=_unit))
+_primitives = st.one_of(
+    _deterministic,
+    st.builds(HeavyTail, base=st.floats(0.0, 2.0), alpha=st.floats(0.5, 3.0),
+              gap=st.floats(2.0, 60.0), scale=st.floats(0.1, 5.0),
+              decay=st.floats(0.0, 0.9)),
+    st.builds(MarkovChurn, low=_unit, high=st.floats(1.0, 3.0),
+              stay=st.floats(0.5, 0.99)))
+_specs = st.recursive(_primitives, lambda inner: st.one_of(
+    st.builds(lambda a, b: a + b, inner, inner),
+    st.builds(lambda a, b: a * b, inner, inner),
+    st.builds(lambda a, b, at: a.then(b, at=at), inner, inner,
+              st.integers(1, 200))), max_leaves=4)
+_ticks = st.integers(1, 240)
+_seeds = st.integers(0, 2**16)
+_ZERO = Constant(level=0.0)
+
+
+def _rates(spec, ticks, seed):
+    return spec.render(ticks, seed=seed).rates
+
+
+class TestAlgebraProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_specs, ticks=_ticks, seed=_seeds)
+    def test_same_spec_ticks_and_seed_render_the_same_track(self, spec,
+                                                            ticks, seed):
+        first = spec.render(ticks, seed=seed, sessions=4)
+        again = spec.render(ticks, seed=seed, sessions=4)
+        assert first.rates.tobytes() == again.rates.tobytes()
+        assert first.plan == again.plan
+        assert (first.mixes is None) == (again.mixes is None)
+        if first.mixes is not None:
+            assert first.mixes.tobytes() == again.mixes.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(parts=st.lists(_primitives, min_size=2, max_size=3),
+           k=st.integers(0, 2), replacement=_primitives, ticks=_ticks,
+           seed=_seeds)
+    def test_replacing_a_summand_leaves_the_others_contributions(
+            self, parts, k, replacement, ticks, seed):
+        """A sum is exactly the sum of each part's contribution at its
+        position, and that contribution depends on nothing else -- so
+        swapping part ``k`` moves only its own term."""
+        k %= len(parts)
+        swapped = parts[:k] + [replacement] + parts[k + 1:]
+        for spec in (parts, swapped):
+            alone = []
+            for j, part in enumerate(spec):
+                slots = [_ZERO] * len(spec)
+                slots[j] = part
+                alone.append(_rates(Superpose(parts=tuple(slots)),
+                                    ticks, seed))
+            expected = alone[0]
+            for contribution in alone[1:]:
+                expected = expected + contribution
+            total = _rates(Superpose(parts=tuple(spec)), ticks, seed)
+            assert total.tobytes() == expected.tobytes()
+        for j in range(len(parts)):
+            if j != k:
+                slots = [_ZERO] * len(parts)
+                slots[j] = parts[j]
+                assert _rates(Superpose(parts=tuple(slots)), ticks,
+                              seed).tobytes() == alone[j].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_specs, b=_specs, other=_specs, at=st.integers(1, 200),
+           ticks=_ticks, seed=_seeds)
+    def test_replacing_a_then_segment_leaves_the_other(self, a, b, other,
+                                                       at, ticks, seed):
+        base = _rates(a.then(b, at=at), ticks, seed)
+        new_tail = _rates(a.then(other, at=at), ticks, seed)
+        new_head = _rates(other.then(b, at=at), ticks, seed)
+        assert base[:at].tobytes() == new_tail[:at].tobytes()
+        assert base[at:].tobytes() == new_head[at:].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(part=_deterministic, other=_specs, at=st.integers(1, 200),
+           ticks=_ticks, seed=_seeds, alone_seed=_seeds)
+    def test_deterministic_segment_renders_as_alone(self, part, other, at,
+                                                    ticks, seed, alone_seed):
+        head = _rates(part.then(other, at=at), ticks, seed)
+        assert head[:at].tobytes() == _rates(
+            part, min(at, ticks), alone_seed).tobytes()
+        if at < ticks:
+            tail = _rates(other.then(part, at=at), ticks, seed)
+            assert tail[at:].tobytes() == _rates(
+                part, ticks - at, alone_seed).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(failure=st.builds(CorrelatedFailure, at=st.floats(0.0, 150.0),
+                             length=st.floats(1.0, 80.0), intensity=_unit),
+           at=st.integers(1, 200), ticks=_ticks, seed=_seeds)
+    def test_then_shifts_fault_windows_and_clips_them(self, failure, at,
+                                                      ticks, seed):
+        def specs(spec):
+            plan = spec.render(ticks, seed=seed).plan
+            return () if plan is None else plan.specs
+
+        head = specs(failure.then(Constant(), at=at))
+        assert head == failure.fault_specs(min(at, ticks))
+        assert all(s.end <= min(at, ticks) for s in head)
+        tail = specs(Constant().then(failure, at=at))
+        if at >= ticks:
+            assert tail == ()
+            return
+        alone = failure.fault_specs(ticks - at)
+        assert [(s.kind, s.start, s.end) for s in tail] == [
+            (s.kind, s.start + at, s.end + at) for s in alone]
+        assert all(at <= s.start < s.end <= ticks for s in tail)

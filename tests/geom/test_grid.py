@@ -7,50 +7,6 @@ import pytest
 from repro.geom import SpatialGrid
 
 
-def brute_force_disc_hits(discs, x, y):
-    return sorted(key for key, (cx, cy, r) in discs.items()
-                  if math.hypot(x - cx, y - cy) <= r)
-
-
-class TestDiscMode:
-    def _populated(self):
-        discs = {0: (0.1, 0.1, 0.2), 1: (0.5, 0.5, 0.25),
-                 2: (0.52, 0.48, 0.1), 3: (0.9, 0.9, 0.15),
-                 4: (-0.2, 0.3, 0.3)}
-        grid = SpatialGrid(0.25)
-        for key, (x, y, r) in discs.items():
-            grid.insert_disc(key, x, y, r)
-        return grid.finalise(), discs
-
-    def test_candidates_are_supersets_of_true_hits(self):
-        grid, discs = self._populated()
-        for x, y in [(0.1, 0.1), (0.5, 0.5), (0.55, 0.45), (0.99, 0.99),
-                     (-0.1, 0.2), (0.0, 0.0), (2.0, 2.0)]:
-            cand = grid.candidates_at(x, y)
-            assert cand == sorted(cand)
-            hits = brute_force_disc_hits(discs, x, y)
-            assert set(hits) <= set(cand)
-
-    def test_candidate_set_matches_list(self):
-        grid, _ = self._populated()
-        for x, y in [(0.1, 0.1), (0.5, 0.5), (3.0, -3.0)]:
-            assert grid.candidate_set_at(x, y) == frozenset(
-                grid.candidates_at(x, y))
-
-    def test_candidate_set_cache_reused_and_invalidated(self):
-        grid, _ = self._populated()
-        first = grid.candidate_set_at(0.5, 0.5)
-        assert grid.candidate_set_at(0.5, 0.5) is first  # cached
-        grid.insert_disc(99, 0.5, 0.5, 0.05)
-        assert 99 in grid.candidate_set_at(0.5, 0.5)
-
-    def test_negative_coordinates(self):
-        grid, discs = self._populated()
-        cand = grid.candidates_at(-0.2, 0.3)
-        assert 4 in cand
-        assert set(brute_force_disc_hits(discs, -0.25, 0.35)) <= set(cand)
-
-
 class TestPointMode:
     def test_candidates_near_superset_and_sorted(self):
         points = {i: (0.1 * i, 0.05 * i) for i in range(20)}
@@ -70,7 +26,3 @@ class TestValidation:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 SpatialGrid(bad)
-
-    def test_rejects_negative_disc_radius(self):
-        with pytest.raises(ValueError):
-            SpatialGrid(1.0).insert_disc(0, 0.0, 0.0, -0.1)

@@ -7,9 +7,12 @@ seeded scenarios.  Those reference implementations are gone; what they
 produced on these scenarios is pinned in ``golden_path_payloads.json``
 (see :mod:`tests.perf.goldens`) and the one remaining path must
 reproduce it *exactly* -- the experiment tables must be byte-identical,
-so "close" is not good enough.  ``History``'s window statistics keep
-their in-class references and are still compared live.
+so "close" is not good enough.  ``History``'s memoised window
+statistics are still compared live, against the full-copy references
+below.
 """
+
+import math
 
 import numpy as np
 
@@ -102,6 +105,40 @@ class TestGatedOracleEquivalence:
             "cpn.oracle.records", [_record_dict(r) for r in records])
 
 
+def _window_naive(history, window):
+    """Reference window extraction: a fresh full copy of the buffer."""
+    obs = list(history)
+    if window is not None and window < len(obs):
+        obs = obs[-window:]
+    return obs
+
+
+def _mean_naive(history, window):
+    vals = [o.value for o in _window_naive(history, window)]
+    return sum(vals) / len(vals) if vals else math.nan
+
+
+def _std_naive(history, window):
+    vals = [o.value for o in _window_naive(history, window)]
+    if not vals:
+        return math.nan
+    mu = sum(vals) / len(vals)
+    return math.sqrt(sum((v - mu) ** 2 for v in vals) / len(vals))
+
+
+def _trend_naive(history, window):
+    obs = _window_naive(history, window)
+    if len(obs) < 2:
+        return 0.0
+    n = len(obs)
+    mean_t = sum(o.time for o in obs) / n
+    mean_v = sum(o.value for o in obs) / n
+    sxx = sum((o.time - mean_t) ** 2 for o in obs)
+    if sxx == 0.0:
+        return 0.0
+    return sum((o.time - mean_t) * (o.value - mean_v) for o in obs) / sxx
+
+
 class TestWindowStatsEquivalence:
     def test_memoised_stats_equal_naive(self):
         history = History(Scope("load"), maxlen=64)
@@ -109,10 +146,11 @@ class TestWindowStatsEquivalence:
         for t in range(200):
             history.record(float(t), float(rng.normal()))
             for window in (None, 1, 5, 32, 64, 500):
-                assert history.values(window) == history.values_naive(window)
-                assert history.mean(window) == history.mean_naive(window)
-                assert history.std(window) == history.std_naive(window)
-                assert history.trend(window) == history.trend_naive(window)
+                assert history.values(window) == [
+                    o.value for o in _window_naive(history, window)]
+                assert history.mean(window) == _mean_naive(history, window)
+                assert history.std(window) == _std_naive(history, window)
+                assert history.trend(window) == _trend_naive(history, window)
 
     def test_cache_invalidated_by_record(self):
         history = History(Scope("x"))
