@@ -20,6 +20,7 @@ Each adapter owns the substrate's canonical stepping loop (the removed
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -702,39 +703,16 @@ class SensornetSimulator:
 # Serving layer
 
 
-class ServeSimulator:
-    """The serving-layer control loop behind the protocol.
+class _ServingAdapter:
+    """What the serving-layer adapters share: ``reset`` re-seeds the
+    config and builds the simulation (:meth:`_build`); the protocol
+    calls delegate to it."""
 
-    The one substrate that is *about* the reproduction itself: the
-    simulated system is the self-aware request-serving layer of
-    :mod:`repro.serve`, with the real governor and admission controller
-    in the control seat (see :mod:`repro.serve.simulation`).
-    """
-
-    def __init__(self, config: Optional[ServeConfig] = None, *,
-                 governor: Optional[Any] = None,
-                 workload: Optional[Any] = None,
-                 faults: Faults = None) -> None:
-        self.config = config if config is not None else ServeConfig()
-        self._governor_given = governor
-        #: Twin replay source (:class:`repro.twin.TraceWorkload`); a live
-        #: object, so it rides the expert path rather than the config.
-        self._workload_given = workload
-        self._faults = faults
-        self.reset(self.config.seed)
-
-    def reset(self, seed: Optional[int] = None) -> "ServeSimulator":
-        from ..serve.simulation import ServingSimulation
-        seed = self.config.seed if seed is None else seed
-        if self.config.seed == seed:
-            config = self.config
-        else:
-            import dataclasses
-            config = dataclasses.replace(self.config, seed=seed)
-        self._sim = ServingSimulation(
-            config, governor=self._governor_given,
-            workload=self._workload_given,
-            faults=_resolve_injector(self._faults, seed))
+    def reset(self, seed: Optional[int] = None) -> Any:
+        config = self.config
+        if seed is not None and seed != config.seed:
+            config = dataclasses.replace(config, seed=seed)
+        self._sim = self._build(config)
         return self
 
     def step(self):
@@ -753,7 +731,33 @@ class ServeSimulator:
         return self._sim.run()
 
 
-class ClusterSimulator:
+class ServeSimulator(_ServingAdapter):
+    """The serving-layer control loop behind the protocol.
+
+    The one substrate that is *about* the reproduction itself: the
+    simulated system is the self-aware request-serving layer of
+    :mod:`repro.serve`, with the real governor and admission controller
+    in the control seat (see :mod:`repro.serve.simulation`).
+    """
+
+    def __init__(self, config: Optional[ServeConfig] = None, *,
+                 workload: Optional[Any] = None,
+                 faults: Faults = None) -> None:
+        self.config = config if config is not None else ServeConfig()
+        #: Twin replay source (:class:`repro.twin.TraceWorkload`); a live
+        #: object, so it rides the expert path rather than the config.
+        self._workload_given = workload
+        self._faults = faults
+        self.reset(self.config.seed)
+
+    def _build(self, config: ServeConfig) -> Any:
+        from ..serve.simulation import ServingSimulation
+        return ServingSimulation(
+            config, workload=self._workload_given,
+            faults=_resolve_injector(self._faults, config.seed))
+
+
+class ClusterSimulator(_ServingAdapter):
     """The sharded serving cluster behind the protocol.
 
     Deterministic discrete-time model of N cooperating serving nodes
@@ -773,31 +777,9 @@ class ClusterSimulator:
         self._workload_given = workload
         self.reset(self.config.seed)
 
-    def reset(self, seed: Optional[int] = None) -> "ClusterSimulator":
+    def _build(self, config: ClusterConfig) -> Any:
         from ..serve.cluster import ClusterSimulation
-        seed = self.config.seed if seed is None else seed
-        if self.config.seed == seed:
-            config = self.config
-        else:
-            import dataclasses
-            config = dataclasses.replace(self.config, seed=seed)
-        self._sim = ClusterSimulation(config, workload=self._workload_given)
-        return self
-
-    def step(self):
-        return self._sim.step()
-
-    def snapshot(self) -> Dict[str, Any]:
-        return self._sim.snapshot()
-
-    def metrics(self) -> Dict[str, float]:
-        return self._sim.metrics()
-
-    def result(self):
-        return self._sim.records
-
-    def run(self):
-        return self._sim.run()
+        return ClusterSimulation(config, workload=self._workload_given)
 
 
 #: Declarative registry: substrate name -> (config class, adapter class).

@@ -13,10 +13,13 @@ common surface:
     points did, so a reset-then-run is byte-identical to the old path.
 ``step()``
     Advance one tick; returns the substrate's native step record.
-``snapshot()``
-    A JSON-safe view of current state (for debugging and tooling).
-``metrics()``
-    Headline aggregate metrics over the steps taken so far.
+``snapshot()`` / ``metrics()``
+    A view of current state; headline aggregate metrics over the steps
+    taken so far.  Both are *fresh* (new objects aliasing no simulator
+    state, so later steps never change them) and *JSON-native* (only
+    ``dict``, ``list``, ``str``, ``int``, ``float`` -- NaN allowed --
+    ``bool`` and ``None``, so ``json.loads(json.dumps(x)) == x`` with
+    identical types): the serving layer caches and encodes them as is.
 
 Fault plans attach at construction through this protocol: every adapter
 accepts ``faults=FaultPlan(...)`` and threads the resulting injector
@@ -41,9 +44,10 @@ class Simulator(Protocol):
         ...
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe view of the current simulation state."""
+        """A fresh, JSON-native view of the current simulation state."""
         ...
 
     def metrics(self) -> Dict[str, float]:
-        """Aggregate metrics over the steps taken since the last reset."""
+        """Fresh, JSON-native aggregate metrics over the steps taken
+        since the last reset."""
         ...

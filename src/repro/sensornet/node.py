@@ -80,27 +80,31 @@ class SensingNode:
         self._cols: Optional[NodeColumns] = None
         self.knowledge = KnowledgeBase()
         rng = rng if rng is not None else np.random.default_rng()
+        # Built once: beliefs() is the snapshot of every served step.
+        self._channel_scopes = [(name, public(name)) for name in field.specs]
         self.suite = SensorSuite()
-        for name, spec in field.specs.items():
+        for name, scope in self._channel_scopes:
+            spec = field.specs[name]
             self.suite.add(Sensor(
-                scope=public(name),
+                scope=scope,
                 read_fn=lambda n=name: field.truth(n),
                 noise_std=spec.noise_std,
                 cost=spec.sample_cost,
                 rng=np.random.default_rng(rng.integers(2 ** 31))))
         # Salience policies can weight channels by their goal importance.
         if isinstance(attention, SalienceAttention):
-            for name, spec in field.specs.items():
-                attention.set_relevance(public(name), spec.importance)
+            for name, scope in self._channel_scopes:
+                attention.set_relevance(scope, field.specs[name].importance)
         self.total_energy = 0.0
 
     def beliefs(self) -> Dict[str, float]:
         """Current believed value per channel (absent channels omitted)."""
+        value = self.knowledge.value
         out: Dict[str, float] = {}
-        for name in self.field.names():
-            value = self.knowledge.value(public(name))
-            if not math.isnan(value):
-                out[name] = value
+        for name, scope in self._channel_scopes:
+            believed = value(scope)
+            if not math.isnan(believed):
+                out[name] = believed
         return out
 
     def step(self, t: float) -> SensingStepRecord:

@@ -32,11 +32,14 @@ Who owns the map decides how long a simulator lives:
 
 ``workers=0`` runs the very same worker function in-process (no pool),
 which is what the determinism tests compare against.
+
+A result carries the simulator's own ``metrics()`` and ``snapshot()``
+unconverted: the :class:`~repro.api.protocol.Simulator` protocol makes
+both fresh and JSON-native, so the wire encodes them once.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -63,14 +66,6 @@ class StepRequest:
     config: Any
     base_steps: int
     n_steps: int
-
-
-def _json_safe(value: Any) -> Any:
-    """Round-trip through JSON so results match the wire format exactly."""
-    try:
-        return json.loads(json.dumps(value))
-    except (TypeError, ValueError):
-        return repr(value)
 
 
 #: A simulator map: session id -> (config, simulator, steps_taken).
@@ -125,8 +120,9 @@ def run_step_batch(requests: Sequence[StepRequest],
 
     ``simulators`` is the map live simulators are taken from and stored
     back to; ``None`` means this process's :data:`_WORKER_CACHE`.
-    Returns one JSON-safe result per request, in order:
-    ``{"session", "steps_taken", "metrics", "snapshot"}``.
+    Returns one result per request, in order:
+    ``{"session", "steps_taken", "metrics", "snapshot"}``, the last two
+    the simulator's own fresh, JSON-native values.
     """
     if simulators is None:
         simulators = _WORKER_CACHE
@@ -140,8 +136,8 @@ def run_step_batch(requests: Sequence[StepRequest],
         results.append({
             "session": request.session_id,
             "steps_taken": steps_taken,
-            "metrics": _json_safe(sim.metrics()),
-            "snapshot": _json_safe(sim.snapshot()),
+            "metrics": sim.metrics(),
+            "snapshot": sim.snapshot(),
         })
     return results
 

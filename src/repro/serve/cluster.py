@@ -451,8 +451,8 @@ class ClusterSimulation:
         headroom = {
             n: max(self.nodes[n].pool, fair) * cfg.per_worker_rate - load[n]
             for n in self.node_ids if n != hot}
-        dst = max(sorted(headroom), key=lambda n: headroom[n])
-        if headroom[dst] <= 0.0:
+        dst = max(sorted(headroom), key=lambda n: headroom[n], default=None)
+        if dst is None or headroom[dst] <= 0.0:  # None: a one-node cluster
             return
         self.placements[moving] = dst
         self._frozen[moving] = t + cfg.migration_freeze

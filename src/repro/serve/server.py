@@ -33,7 +33,8 @@ meets here:
   (TTL eviction runs as a background task); with ``workers=0`` the
   table also owns each session's live simulator, which batches step
   in place, so a session replays from ``reset`` only after
-  hibernation or migration;
+  hibernation or migration; ``snapshot`` and ``metrics`` at a
+  session's current step are answered from its step cache;
 * a :class:`~repro.serve.governor.ServeGovernor` periodically senses
   queue depth, arrival rate and request latency and re-expresses pool
   size and admission settings; while degraded, ``snapshot`` serves
@@ -60,6 +61,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..api.adapters import SIMULATORS
 from ..explain import ExplanationStore
+from ..metrics.stats import percentile_linear
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from .admission import ADMIT, AdmissionController
@@ -239,7 +241,16 @@ class SimulationServer:
                                               f"unparseable: {exc}")
                 else:
                     response = await self.dispatch(request)
-                writer.write(json.dumps(response).encode() + b"\n")
+                try:
+                    line = json.dumps(response).encode()
+                except (TypeError, ValueError, RecursionError) as exc:
+                    # A substrate broke the JSON-native contract: still
+                    # one reply, and the connection keeps serving.
+                    log.exception("reply not encodable")
+                    line = json.dumps(error_response(
+                        ErrorCode.INTERNAL,
+                        f"reply not encodable: {exc}")).encode()
+                writer.write(line + b"\n")
                 await writer.drain()
         finally:
             writer.close()
@@ -383,8 +394,7 @@ class SimulationServer:
             result = await future
             session.steps_taken = result["steps_taken"]
             self.sessions.snapshots.put(session.session_id,
-                                        session.steps_taken,
-                                        result["snapshot"])
+                                        session.steps_taken, result)
         return result
 
     async def _op_step(self, request: Dict[str, Any],
@@ -393,41 +403,35 @@ class SimulationServer:
         if n < 0:
             return error_response(ErrorCode.BAD_REQUEST, "n must be >= 0")
         session = self.sessions.get(str(request.get("session")), now)
-        result = await self._step_via_batch(session, n)
-        return {"session": session.session_id,
-                "steps_taken": result["steps_taken"],
-                "metrics": result["metrics"],
-                "snapshot": result["snapshot"]}
+        return dict(await self._step_via_batch(session, n))
 
     async def _op_run(self, request: Dict[str, Any],
                       now: float) -> Dict[str, Any]:
         session = self.sessions.get(str(request.get("session")), now)
-        result = await self._step_via_batch(session, 0, to_budget=True)
-        return {"session": session.session_id,
-                "steps_taken": result["steps_taken"],
-                "metrics": result["metrics"],
-                "snapshot": result["snapshot"]}
+        return dict(await self._step_via_batch(session, 0, to_budget=True))
 
     async def _op_snapshot(self, request: Dict[str, Any],
                            now: float) -> Dict[str, Any]:
         session = self.sessions.get(str(request.get("session")), now)
-        cached = self.sessions.snapshots.get(session.session_id,
+        result = self.sessions.snapshots.get(session.session_id,
                                              session.steps_taken)
         stale = False
-        if cached is None and self.serve_stale:
+        if result is None and self.serve_stale:
             latest = self.sessions.snapshots.latest(session.session_id)
             if latest is not None:
-                cached, stale = latest[1], True
-        if cached is None:
+                result, stale = latest[1], True
+        if result is None:
             result = await self._step_via_batch(session, 0)
-            cached = result["snapshot"]
         return {"session": session.session_id,
-                "snapshot": cached, "stale": stale}
+                "snapshot": result["snapshot"], "stale": stale}
 
     async def _op_metrics(self, request: Dict[str, Any],
                           now: float) -> Dict[str, Any]:
         session = self.sessions.get(str(request.get("session")), now)
-        result = await self._step_via_batch(session, 0)
+        result = self.sessions.snapshots.get(session.session_id,
+                                             session.steps_taken)
+        if result is None:
+            result = await self._step_via_batch(session, 0)
         return {"session": session.session_id,
                 "metrics": result["metrics"]}
 
@@ -606,10 +610,10 @@ class SimulationServer:
     # -- introspection -----------------------------------------------------
 
     def _p95(self) -> float:
-        """Nearest-rank p95 of the recent request latencies, seconds."""
-        latencies = sorted(self._latencies)
-        return (latencies[int(0.95 * (len(latencies) - 1))]
-                if latencies else 0.0)
+        """p95 of the recent request latencies, seconds (0.0 when none),
+        with the estimator the simulated node senses it by."""
+        return (percentile_linear(self._latencies, 95.0)
+                if self._latencies else 0.0)
 
     def stats(self) -> Dict[str, Any]:
         stats = {
@@ -717,8 +721,9 @@ class Client:
 
 class InProcessClient(Client):
     """The same client surface wired straight into ``dispatch`` -- no
-    socket, no serialisation beyond the JSON-safety the batch layer
-    already enforces.  The unit-test entry point."""
+    socket, no serialisation (the Simulator protocol already makes
+    replies JSON-native).  The unit-test entry point.  Replies share
+    objects with the server's step cache: treat them as read-only."""
 
     def __init__(self, server: SimulationServer) -> None:  # noqa: super
         self._server = server

@@ -26,9 +26,10 @@ own.  Pool workers keep their own bounded LRU instead
   replays to ``steps_taken``, reproducing the exact pre-hibernation
   state (the replay guarantee doing production work).
 
-A small LRU :class:`SnapshotCache` keeps recent snapshots per session so
-that, when the governor has degraded the service, stale-but-instant
-snapshots can be served without touching a simulator at all.
+A small LRU :class:`SnapshotCache` keeps recent step results (``metrics``
+next to ``snapshot``) per session: reads at a session's current step
+need no batch, and when the governor has degraded the service,
+stale-but-instant snapshots are served without touching a simulator.
 
 Sans-io: all methods take ``now`` explicitly.
 """
@@ -77,13 +78,16 @@ class Session:
 
 
 class SnapshotCache:
-    """LRU cache of ``(session_id, step) -> snapshot`` with stale lookup.
+    """LRU cache of ``(session_id, step) -> step result`` with stale lookup.
 
-    ``latest(session_id)`` returns the most recent cached snapshot for a
-    session regardless of step -- the degraded-mode path ("serve stale
-    snapshots") -- tagged with the step it was taken at.  A per-session
-    index of cached steps keeps ``latest`` and ``drop_session`` from
-    scanning the whole cache; it never changes the LRU order.
+    A server stores each :func:`~repro.serve.batching.run_step_batch`
+    result whole (shared with its reply, so read-only); ``get`` returns
+    it, ``None`` on a miss.  ``latest(session_id)`` returns the most
+    recent entry for a session regardless of step -- the degraded-mode
+    path ("serve stale snapshots") -- tagged with the step it was taken
+    at.  A per-session index of cached steps keeps ``latest`` and
+    ``drop_session`` from scanning the whole cache; it never changes
+    the LRU order.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -98,11 +102,11 @@ class SnapshotCache:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def put(self, session_id: str, step: int, snapshot: Dict[str, Any]) -> None:
+    def put(self, session_id: str, step: int, entry: Dict[str, Any]) -> None:
         key = (session_id, step)
         if key in self._cache:
             self._cache.move_to_end(key)
-        self._cache[key] = snapshot
+        self._cache[key] = entry
         self._steps.setdefault(session_id, set()).add(step)
         while len(self._cache) > self.max_entries:
             (sid, old_step), _ = self._cache.popitem(last=False)
@@ -121,7 +125,7 @@ class SnapshotCache:
         return entry
 
     def latest(self, session_id: str) -> Optional[Tuple[int, Dict[str, Any]]]:
-        """Most recent cached ``(step, snapshot)`` for the session, if any."""
+        """Most recent cached ``(step, entry)`` for the session, if any."""
         steps = self._steps.get(session_id)
         if not steps:
             return None
@@ -143,7 +147,7 @@ class SessionTable:
     max_sessions:
         Hard bound on live sessions; ``create`` beyond it raises.
     snapshot_cache:
-        Capacity of the shared LRU snapshot cache.
+        Capacity of the shared LRU step-result cache.
     id_prefix:
         Prepended to minted session ids.  A cluster node passes
         ``f"{node_id}-"`` so ids are unique cluster-wide and carry their

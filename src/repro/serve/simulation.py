@@ -209,11 +209,9 @@ class ServingSimulation:
     """The serving control loop over a simulated request stream."""
 
     def __init__(self, config: Optional[ServeConfig] = None, *,
-                 governor: Optional[Any] = None,
                  faults: Optional[FaultInjector] = None,
                  workload: Optional[Any] = None) -> None:
         self.config = config if config is not None else ServeConfig()
-        self._governor_given = governor  # expert path: reused across resets
         #: Explicit faults always win over a scenario-armed plan.
         self._faults_given = faults
         #: Replay source (:class:`repro.twin.TraceWorkload`): recorded
@@ -235,14 +233,12 @@ class ServingSimulation:
             self._scenario_track = track
             if track.plan is not None and self._faults_given is None:
                 self.faults = make_injector(track.plan, run_seed=seed)
-        self.governor = (
-            self._governor_given if self._governor_given is not None
-            else make_governor(
-                cfg.governor, ("self_aware", "static"),
-                pool_size=cfg.static_workers, max_workers=cfg.max_workers,
-                min_workers=cfg.min_workers, slo_p95=cfg.slo_p95,
-                service_rate_guess=cfg.per_worker_rate, seed=seed,
-                admit_headroom=cfg.admit_headroom, epsilon=cfg.epsilon))
+        self.governor = make_governor(
+            cfg.governor, ("self_aware", "static"),
+            pool_size=cfg.static_workers, max_workers=cfg.max_workers,
+            min_workers=cfg.min_workers, slo_p95=cfg.slo_p95,
+            service_rate_guess=cfg.per_worker_rate, seed=seed,
+            admit_headroom=cfg.admit_headroom, epsilon=cfg.epsilon)
         #: Every completion as ``(completion_tick, latency)``; metrics()
         #: scores the post-warmup slice of this exactly.
         self._all_latencies: List[List[float]] = []

@@ -371,6 +371,13 @@ class TestClusterSimulation:
         assert sim.board.published > 0
         assert sim.migrations >= 1  # flash co-location forces a move
 
+    def test_an_overloaded_one_node_cluster_has_nowhere_to_rebalance(self):
+        sim = ClusterSimulation(ClusterConfig(
+            nodes=1, sessions=2, worker_budget=3, steps=30, warmup=0,
+            seed=0))
+        sim.run()
+        assert sim.migrations == 0
+
     def test_per_node_and_static_arms_never_gossip(self):
         for arm in ("per_node", "static"):
             sim = ClusterSimulation(ClusterConfig(

@@ -3,9 +3,12 @@
 import asyncio
 import json
 import threading
+from dataclasses import dataclass
 
 import pytest
 
+from repro.api import adapters
+from repro.metrics.stats import percentile_linear
 from repro.obs.events import EventBus, set_bus
 from repro.serve import (Client, InProcessClient, ServerConfig,
                          SimulationServer)
@@ -107,7 +110,7 @@ class TestOps:
             assert hit["snapshot"] == third and not hit["stale"]
 
             snapshots.drop_session(sid)
-            snapshots.put(sid, 1, first)
+            snapshots.put(sid, 1, {"snapshot": first})
             server.serve_stale = True
             stale = await client.snapshot(sid)
             assert stale["stale"] and stale["snapshot"] == first
@@ -115,7 +118,31 @@ class TestOps:
             server.serve_stale = False
             fresh = await client.snapshot(sid)
             assert not fresh["stale"] and fresh["snapshot"] == third
-            assert snapshots.get(sid, 3) == third
+            assert snapshots.get(sid, 3)["snapshot"] == third
+
+        run(with_server(body))
+
+    def test_metrics_read_the_step_cache_and_batch_only_on_a_miss(self):
+        """``metrics`` at the session's current step is the cached step
+        result's; a miss (here: the cache emptied) runs one 0-step
+        batch, whose result is cached in turn."""
+        async def body(server, client):
+            created = await client.create("sensornet", steps=30,
+                                          n_channels=4, seed=5)
+            sid = created["session"]
+            stepped = await client.step(sid, n=4)
+            batches = server.dispatcher.batches_run
+            hit = await client.metrics(sid)
+            assert hit["metrics"] == stepped["metrics"]
+            assert server.dispatcher.batches_run == batches
+
+            server.sessions.snapshots.drop_session(sid)
+            server.serve_stale = True   # stale serving is snapshot-only
+            missed = await client.metrics(sid)
+            assert missed["metrics"] == stepped["metrics"]
+            assert server.dispatcher.batches_run == batches + 1
+            assert server.sessions.snapshots.get(sid, 4)["metrics"] == \
+                stepped["metrics"]
 
         run(with_server(body))
 
@@ -491,6 +518,83 @@ class TestSocket:
                     if r.name == "repro.serve.server"]
         assert record.exc_info is not None
         assert "stats store corrupted" in str(record.exc_info[1])
+
+
+@dataclass(frozen=True, kw_only=True)
+class _SetConfig:
+    steps: int = 10
+    seed: int = 0
+
+
+class _SetSnapshotSimulator:
+    """Breaks the JSON-native contract: its snapshot holds a ``set``."""
+
+    def __init__(self, config=None):
+        self.config = config if config is not None else _SetConfig()
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+
+    def metrics(self):
+        return {"steps": float(self.steps)}
+
+    def snapshot(self):
+        return {"steps_taken": self.steps, "tags": {"a", "b"}}
+
+
+class TestEncoding:
+    def test_unencodable_reply_is_internal_and_the_connection_serves_on(
+            self, monkeypatch, caplog):
+        monkeypatch.setitem(adapters.SIMULATORS, "setsnap",
+                            (_SetConfig, _SetSnapshotSimulator))
+
+        async def body():
+            server = make_server(port=0)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                exchange = TestSocket._exchange
+                created = await exchange(reader, writer, json.dumps(
+                    {"op": "create", "substrate": "setsnap"}).encode())
+                request = json.dumps({"op": "step",
+                                      "session": created["session"]})
+                stepped = await exchange(reader, writer, request.encode())
+                metrics = await exchange(reader, writer, json.dumps(
+                    {"op": "metrics",
+                     "session": created["session"]}).encode())
+                hello = await exchange(reader, writer, b'{"op": "hello"}')
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+            return stepped, metrics, hello
+
+        with caplog.at_level("ERROR", logger="repro.serve.server"):
+            stepped, metrics, hello = run(body())
+        assert stepped["ok"] is False
+        assert stepped["error"]["code"] == "internal"
+        assert "not encodable" in stepped["error"]["message"]
+        assert metrics["ok"] and metrics["metrics"] == {"steps": 1.0}
+        assert hello["ok"] is True
+        assert any(r.exc_info for r in caplog.records
+                   if r.name == "repro.serve.server")
+
+
+class TestStats:
+    def test_p95_is_the_linear_percentile_of_recent_latencies(self):
+        async def body(server, client):
+            assert server.stats()["p95_seconds"] == 0.0
+            created = await client.create("sensornet", steps=30,
+                                          n_channels=4, seed=1)
+            for _ in range(7):
+                await client.step(created["session"])
+            return server.stats()["p95_seconds"], list(server._latencies)
+
+        p95, latencies = run(with_server(body))
+        assert len(latencies) == 8
+        assert p95 == percentile_linear(latencies, 95.0)
 
 
 class _SlowFirstBatch:
