@@ -12,25 +12,25 @@ Run:  python examples/cloud_autoscaling.py
 
 import numpy as np
 
-from repro.cloud import (ReactiveScaler, SelfAwareScaler, ServiceCluster,
-                         StaticScaler, make_cloud_goal)
+from repro.api import CloudConfig, CloudSimulator
+from repro.cloud import (ReactiveScaler, SelfAwareScaler, StaticScaler,
+                         make_cloud_goal)
 from repro.envgen import RequestRateWorkload, Shock, ShockSchedule
 from repro.obs import cli_telemetry
 
-CLUSTER = dict(capacity_per_server=10.0, boot_delay=5, max_servers=40)
-STEPS = 600
+CONFIG = CloudConfig(steps=600, capacity_per_server=10.0, boot_delay=5,
+                     max_servers=40, initial_servers=4)
 
 
 def drive(scaler, demand, goal, reweight_at=None):
-    cluster = ServiceCluster(**CLUSTER)
-    history, metrics = [], None
-    for t in range(STEPS):
-        if reweight_at is not None and t == reweight_at:
+    """Step the cluster under ``scaler``; optionally flip the goal toward
+    cost at ``reweight_at``, between two steps."""
+    sim = CloudSimulator(CONFIG, scaler=scaler, demand_fn=demand, goal=goal)
+    for t in range(CONFIG.steps):
+        if t == reweight_at:
             goal.set_weights({"qos": 0.3, "cost": 0.7})
-        cluster.request_scale(scaler.decide(float(t), metrics))
-        metrics = cluster.step(float(t), max(0.0, demand(float(t))))
-        history.append(metrics)
-    return history
+        sim.step()
+    return sim.result()
 
 
 def report(name, history, goal):
@@ -61,7 +61,7 @@ def main():
     report("self-aware", drive(scaler, workload.rate, goal), goal)
     print(f"  (self-aware scaler learned per-server capacity "
           f"{scaler.capacity_estimate:.1f}; true value is "
-          f"{CLUSTER['capacity_per_server']})")
+          f"{CONFIG.capacity_per_server})")
 
     print("\nnow stakeholders flip the goal toward cost at t=300:")
     goal = make_cloud_goal()

@@ -16,8 +16,7 @@ import numpy as np
 from repro.api import MulticoreConfig, MulticoreSimulator
 from repro.multicore import (DEFAULT_AFFINITY, OndemandGovernor,
                              SelfAwareGovernor, StaticGovernor,
-                             make_multicore_goal, make_platform,
-                             make_workload)
+                             make_multicore_goal)
 from repro.obs import cli_telemetry
 
 
@@ -35,10 +34,8 @@ def main():
     ]
     self_aware = contenders[-1][1]
     for name, governor in contenders:
-        result = MulticoreSimulator(MulticoreConfig(steps=800),
-                                    governor=governor,
-                                    workload=make_workload(seed=0),
-                                    platform=make_platform()).run()
+        result = MulticoreSimulator(MulticoreConfig(steps=800, seed=0),
+                                    governor=governor).run()
         print(f"  {name:11s} utility={result.mean_utility(goal):.3f} "
               f"throughput={result.mean_throughput():5.2f} "
               f"energy={result.mean_energy():5.2f} "

@@ -12,9 +12,8 @@ Run:  python examples/swarm_coverage.py
 
 import numpy as np
 
-from repro.api import SwarmSimulator
-from repro.swarm import (RandomPatrol, SelfAwareSwarm, StaticFormation,
-                         SwarmMissionConfig)
+from repro.api import SwarmConfig, SwarmSimulator
+from repro.swarm import RandomPatrol, SelfAwareSwarm, StaticFormation
 from repro.obs import cli_telemetry
 
 STEPS = 800
@@ -33,8 +32,7 @@ def main():
     ]:
         rows = []
         for seed in range(3):
-            config = SwarmMissionConfig(steps=STEPS, seed=seed)
-            result = SwarmSimulator(mission_config=config,
+            result = SwarmSimulator(SwarmConfig(steps=STEPS, seed=seed),
                                     controller=factory(seed)).run()
             rows.append((result.detection_rate(),
                          result.detection_rate(0, 0.4 * STEPS),

@@ -1,16 +1,19 @@
 """Adapters: every substrate simulation behind the one Simulator protocol.
 
-Each adapter owns the substrate's canonical stepping loop (the removed
+Each adapter owns the substrate's one stepping loop (the removed
 ``run_*`` entry points map onto them through the migration table in
-``DESIGN.md``) and follows one contract:
+``DESIGN.md``) and follows one contract, kept by the shared base
+:class:`_Adapter`:
 
-* construction takes a frozen keyword-only ``*Config`` (declarative
-  path) plus optional live objects -- a controller factory, a scaler, a
-  router -- for the rich cases experiments need (expert path);
-* ``reset(seed)`` rebuilds the underlying simulation exactly as the
-  legacy entry point did, so results are byte-identical to the old
-  call; live objects passed in are *reused* across resets (pass
-  factories or configs when true re-runs are needed);
+* construction takes the substrate's frozen keyword-only ``*Config``
+  -- its one parameter record -- plus keywords only for what a config
+  cannot say: live objects such as a scaler, a demand function, a
+  governor, a network or a twin workload, for the rich cases
+  experiments need;
+* ``reset(seed)`` rebuilds the run from the config with ``seed`` in
+  place of ``config.seed``, so it equals a fresh adapter over
+  ``dataclasses.replace(config, seed=seed)``; live objects passed in
+  are *reused* across resets;
 * ``faults=`` accepts a :class:`~repro.faults.plan.FaultPlan` (a fresh
   injector is derived per reset, seeded by the run seed) or a prebuilt
   :class:`~repro.faults.injector.FaultInjector`; inert plans resolve to
@@ -45,34 +48,69 @@ def _resolve_injector(faults: Faults, seed: int) -> Optional[FaultInjector]:
 
 
 # ---------------------------------------------------------------------------
+# The shared shape
+
+
+class _Adapter:
+    """What every adapter shares: the config default, ``reset(seed)``
+    re-seeding, the step clock ``_t`` and ``run()``.
+
+    ``reset(seed)`` hands :meth:`_build` the construction config with
+    ``seed`` in place of its own, plus that run's fault injector, so a
+    reset adapter equals a fresh one over
+    ``dataclasses.replace(config, seed=seed)``; ``self.config`` keeps
+    the construction config.  ``step()`` runs :meth:`_step` at the
+    current tick, then advances the clock.
+    """
+
+    #: The substrate's frozen ``*Config``; its defaults make a run.
+    config_type: type
+
+    def __init__(self, config: Optional[Any] = None, *,
+                 faults: Faults = None) -> None:
+        self.config = config if config is not None else self.config_type()
+        self._faults = faults
+        self.reset()
+
+    def reset(self, seed: Optional[int] = None) -> Any:
+        config = self.config
+        if seed is not None and seed != config.seed:
+            config = dataclasses.replace(config, seed=seed)
+        self._build(config, _resolve_injector(self._faults, config.seed))
+        self._t = 0.0
+        return self
+
+    def _build(self, config: Any, faults: Optional[FaultInjector]) -> None:
+        raise NotImplementedError
+
+    def _step(self, now: float) -> Any:
+        raise NotImplementedError
+
+    def step(self):
+        record = self._step(self._t)
+        self._t += 1.0
+        return record
+
+    def run(self):
+        for _ in range(self.config.steps):
+            self.step()
+        return self.result()
+
+
+# ---------------------------------------------------------------------------
 # Smart-camera network
 
 
-class CameraSimulator:
+class CameraSimulator(_Adapter):
     """The smart-camera network behind the :class:`Simulator` protocol."""
 
-    def __init__(self, config: Optional[CameraConfig] = None, *,
-                 sim_config: Optional[Any] = None,
-                 controller_factory: Optional[Callable] = None,
-                 faults: Faults = None) -> None:
-        self.config = config if config is not None else CameraConfig()
-        self._sim_config = sim_config  # expert path: a ready CameraSimConfig
-        self._controller_factory = controller_factory
-        self._faults = faults
-        self.reset(self._seed_default())
+    config_type = CameraConfig
 
-    def _seed_default(self) -> int:
-        if self._sim_config is not None:
-            return self._sim_config.seed
-        return self.config.seed
-
-    def _factory(self) -> Callable:
+    @staticmethod
+    def _controller_factory(cfg: CameraConfig) -> Callable:
         from ..smartcamera.controller import (FixedStrategyController,
                                               SelfAwareStrategyController)
         from ..smartcamera.strategies import Strategy
-        if self._controller_factory is not None:
-            return self._controller_factory
-        cfg = self.config
         if cfg.controller == "fixed":
             if cfg.strategy is None:
                 raise ValueError("controller='fixed' needs a strategy name")
@@ -85,34 +123,13 @@ class CameraSimulator:
                 cid, epsilon=cfg.epsilon, discount=cfg.discount, rng=rng)
         raise ValueError(f"unknown camera controller {cfg.controller!r}")
 
-    def reset(self, seed: Optional[int] = None) -> "CameraSimulator":
-        from ..smartcamera.sim import CameraSimConfig, CameraSimulation
-        seed = self._seed_default() if seed is None else seed
-        if self._sim_config is not None:
-            sim_config = self._sim_config
-        else:
-            cfg = self.config
-            breaks = (list(map(tuple, cfg.comm_weight_breaks))
-                      if cfg.comm_weight_breaks is not None else None)
-            sim_config = CameraSimConfig(
-                rows=cfg.rows, cols=cfg.cols, radius=cfg.radius,
-                n_objects=cfg.n_objects, object_speed=cfg.object_speed,
-                churn_rate=cfg.churn_rate, steps=cfg.steps,
-                comm_cost_weight=cfg.comm_cost_weight,
-                auction_threshold=cfg.auction_threshold,
-                detection_rate=cfg.detection_rate,
-                random_placement=cfg.random_placement, seed=seed,
-                comm_weight_breaks=breaks)
+    def _build(self, config, faults) -> None:
+        from ..smartcamera.sim import CameraSimulation
         self._sim = CameraSimulation(
-            sim_config, self._factory(),
-            faults=_resolve_injector(self._faults, seed))
-        self._t = 0.0
-        return self
+            config, self._controller_factory(config), faults=faults)
 
-    def step(self):
-        record = self._sim.step(self._t)
-        self._t += 1.0
-        return record
+    def _step(self, now: float):
+        return self._sim.step(now)
 
     def snapshot(self) -> Dict[str, Any]:
         return {"substrate": "smartcamera", "time": self._t,
@@ -135,44 +152,37 @@ class CameraSimulator:
             records=self._sim.records,
             controllers=list(self._sim.controllers.values()),
             market=self._sim.market,
-            comm_cost_weight=self._sim.config.comm_cost_weight)
-
-    def run(self):
-        for _ in range(self._sim.config.steps):
-            self.step()
-        return self.result()
+            comm_cost_weight=self.config.comm_cost_weight)
 
 
 # ---------------------------------------------------------------------------
 # Elastic cloud cluster
 
 
-class CloudSimulator:
+class CloudSimulator(_Adapter):
     """The autoscaled cluster behind the :class:`Simulator` protocol.
 
-    Owns the decide / scale / serve loop, fault hooks included:
-    ``workload_spike`` multiplies offered demand, ``crash`` kills the
-    spec's fraction of active servers when its window opens (recovery
-    pays the boot delay), ``sensor_noise``/``sensor_dropout`` corrupt
-    the telemetry the scaler sees, and ``clock_skew`` shifts the
-    scaler's -- never the cluster's -- clock.
+    Owns the decide / scale / serve loop -- the only one: experiments
+    with their own scaler, demand or goal pass them as live objects
+    and step this adapter.  Fault hooks included: ``workload_spike``
+    multiplies offered demand, ``crash`` kills the spec's fraction of
+    active servers when its window opens (recovery pays the boot
+    delay), ``sensor_noise``/``sensor_dropout`` corrupt the telemetry
+    the scaler sees, and ``clock_skew`` shifts the scaler's -- never
+    the cluster's -- clock.
     """
+
+    config_type = CloudConfig
 
     def __init__(self, config: Optional[CloudConfig] = None, *,
                  scaler: Optional[Any] = None,
-                 scaler_factory: Optional[Callable[[int], Any]] = None,
                  demand_fn: Optional[Callable[[float], float]] = None,
                  goal: Optional[Any] = None,
-                 cluster_kwargs: Optional[Dict] = None,
                  faults: Faults = None) -> None:
-        self.config = config if config is not None else CloudConfig()
         self._scaler_given = scaler
-        self._scaler_factory = scaler_factory
         self._demand_fn_given = demand_fn
         self._goal_given = goal
-        self._cluster_kwargs = cluster_kwargs
-        self._faults = faults
-        self.reset(self.config.seed)
+        super().__init__(config, faults=faults)
 
     def goal(self):
         from ..cloud.autoscaler import make_cloud_goal
@@ -183,14 +193,11 @@ class CloudSimulator:
                                cost_weight=cfg.cost_weight,
                                max_servers=cfg.max_servers)
 
-    def _make_scaler(self, seed: int):
+    def _make_scaler(self, cfg: CloudConfig):
         from ..cloud.autoscaler import (ReactiveScaler, SelfAwareScaler,
                                         StaticScaler)
         if self._scaler_given is not None:
             return self._scaler_given
-        if self._scaler_factory is not None:
-            return self._scaler_factory(seed)
-        cfg = self.config
         if cfg.scaler == "self_aware":
             return SelfAwareScaler(self.goal(), boot_delay=cfg.boot_delay,
                                    max_servers=cfg.max_servers,
@@ -201,46 +208,38 @@ class CloudSimulator:
             return StaticScaler(cfg.static_servers)
         raise ValueError(f"unknown cloud scaler {cfg.scaler!r}")
 
-    def _make_demand(self, seed: int) -> Callable[[float], float]:
+    def _make_demand(self, cfg: CloudConfig) -> Callable[[float], float]:
         from ..envgen.workloads import RequestRateWorkload
         if self._demand_fn_given is not None:
             return self._demand_fn_given
-        cfg = self.config
         workload = RequestRateWorkload(
             base_rate=cfg.base_rate,
             seasonal_amplitude=cfg.seasonal_amplitude, period=cfg.period,
-            noise_std=cfg.noise_std, rng=np.random.default_rng(seed))
+            noise_std=cfg.noise_std, rng=np.random.default_rng(cfg.seed))
         if cfg.scenario:
             from ..envgen.scenario import make_scenario
-            track = make_scenario(cfg.scenario).render(cfg.steps, seed=seed)
+            track = make_scenario(cfg.scenario).render(cfg.steps,
+                                                       seed=cfg.seed)
             return lambda t: workload.rate(t) * track.rate_at(t)
         return workload.rate
 
-    def reset(self, seed: Optional[int] = None) -> "CloudSimulator":
+    def _build(self, config, faults) -> None:
         from ..cloud.cluster import ServiceCluster
-        seed = self.config.seed if seed is None else seed
-        cfg = self.config
-        kwargs = self._cluster_kwargs
-        if kwargs is None:
-            kwargs = {"capacity_per_server": cfg.capacity_per_server,
-                      "boot_delay": cfg.boot_delay,
-                      "min_servers": cfg.min_servers,
-                      "max_servers": cfg.max_servers,
-                      "backlog_limit": cfg.backlog_limit,
-                      "initial_servers": cfg.initial_servers,
-                      "cost_per_server": cfg.cost_per_server}
-        self._cluster = ServiceCluster(**kwargs)
-        self._scaler = self._make_scaler(seed)
-        self._demand_fn = self._make_demand(seed)
-        self._injector = _resolve_injector(self._faults, seed)
+        self._cluster = ServiceCluster(
+            capacity_per_server=config.capacity_per_server,
+            boot_delay=config.boot_delay, min_servers=config.min_servers,
+            max_servers=config.max_servers,
+            backlog_limit=config.backlog_limit,
+            initial_servers=config.initial_servers,
+            cost_per_server=config.cost_per_server)
+        self._scaler = self._make_scaler(config)
+        self._demand_fn = self._make_demand(config)
+        self._injector = faults
         self._metrics = None
         self.history: List[Any] = []
-        self._t = 0.0
-        return self
 
-    def step(self):
+    def _step(self, now: float):
         from ..cloud.autoscaler import _sensed_metrics
-        now = self._t
         faults = self._injector
         sensed = self._metrics
         decide_time = now
@@ -262,7 +261,6 @@ class CloudSimulator:
             demand *= faults.demand_factor()
         self._metrics = self._cluster.step(now, demand)
         self.history.append(self._metrics)
-        self._t += 1.0
         return self._metrics
 
     def snapshot(self) -> Dict[str, Any]:
@@ -285,9 +283,7 @@ class CloudSimulator:
                                 for m in self.history) / n,
             "dropped": sum(m.dropped for m in self.history)}
 
-    def run(self) -> List[Any]:
-        for _ in range(self.config.steps):
-            self.step()
+    def result(self) -> List[Any]:
         return self.history
 
 
@@ -295,7 +291,7 @@ class CloudSimulator:
 # Heterogeneous multicore
 
 
-class MulticoreSimulator:
+class MulticoreSimulator(_Adapter):
     """The multicore platform/governor pair behind the protocol.
 
     Owns the submit / manage / step / feedback loop, fault hooks
@@ -305,64 +301,46 @@ class MulticoreSimulator:
     managed and learned from this step.
     """
 
+    config_type = MulticoreConfig
+
     def __init__(self, config: Optional[MulticoreConfig] = None, *,
                  governor: Optional[Any] = None,
-                 governor_factory: Optional[Callable[[int], Any]] = None,
-                 workload: Optional[Any] = None,
-                 platform: Optional[Any] = None,
                  on_step: Optional[Callable[[float], None]] = None,
                  faults: Faults = None) -> None:
-        self.config = config if config is not None else MulticoreConfig()
         self._governor_given = governor
-        self._governor_factory = governor_factory
-        self._workload_given = workload
-        self._platform_given = platform
         self._on_step = on_step
-        self._faults = faults
-        self.reset(self.config.seed)
+        super().__init__(config, faults=faults)
 
-    def _make_governor(self, seed: int):
+    def _make_governor(self, cfg: MulticoreConfig):
         from ..multicore import make_multicore_goal
         from ..multicore.governor import (OndemandGovernor, SelfAwareGovernor,
                                           StaticGovernor)
         if self._governor_given is not None:
             return self._governor_given
-        if self._governor_factory is not None:
-            return self._governor_factory(seed)
-        cfg = self.config
         if cfg.governor == "self_aware":
             return SelfAwareGovernor(make_multicore_goal(),
                                      epsilon=cfg.epsilon,
-                                     rng=np.random.default_rng(seed))
+                                     rng=np.random.default_rng(cfg.seed))
         if cfg.governor == "ondemand":
             return OndemandGovernor()
         if cfg.governor == "static":
             return StaticGovernor()
         raise ValueError(f"unknown governor {cfg.governor!r}")
 
-    def reset(self, seed: Optional[int] = None) -> "MulticoreSimulator":
+    def _build(self, config, faults) -> None:
         from ..multicore.sim import make_platform, make_workload
-        seed = self.config.seed if seed is None else seed
-        cfg = self.config
-        self._workload = (self._workload_given
-                          if self._workload_given is not None
-                          else make_workload(rate=cfg.rate,
-                                             phase_length=cfg.phase_length,
-                                             seed=seed))
-        self._platform = (self._platform_given
-                          if self._platform_given is not None
-                          else make_platform(n_big=cfg.n_big,
-                                             n_little=cfg.n_little,
-                                             critical_temp=cfg.critical_temp))
-        self._governor = self._make_governor(seed)
-        self._injector = _resolve_injector(self._faults, seed)
+        self._workload = make_workload(rate=config.rate,
+                                       phase_length=config.phase_length,
+                                       seed=config.seed)
+        self._platform = make_platform(n_big=config.n_big,
+                                       n_little=config.n_little,
+                                       critical_temp=config.critical_temp)
+        self._governor = self._make_governor(config)
+        self._injector = faults
         self._metrics = None
         self.history: List[Any] = []
-        self._t = 0.0
-        return self
 
-    def step(self):
-        now = self._t
+    def _step(self, now: float):
         faults = self._injector
         if self._on_step is not None:
             self._on_step(now)
@@ -401,7 +379,6 @@ class MulticoreSimulator:
                             throttled_cores=metrics.throttled_cores,
                             queue_length=metrics.queue_length)
         self.history.append(metrics)
-        self._t += 1.0
         return metrics
 
     def snapshot(self) -> Dict[str, Any]:
@@ -422,82 +399,68 @@ class MulticoreSimulator:
         return GovernorRunResult(history=self.history,
                                  platform=self._platform)
 
-    def run(self):
-        for _ in range(self.config.steps):
-            self.step()
-        return self.result()
-
 
 # ---------------------------------------------------------------------------
 # Cognitive packet network
 
 
-class CPNSimulator:
+class CPNSimulator(_Adapter):
     """The packet-routing substrate behind the protocol."""
+
+    config_type = CPNConfig
 
     def __init__(self, config: Optional[CPNConfig] = None, *,
                  network: Optional[Any] = None,
                  router: Optional[Any] = None,
-                 router_factory: Optional[Callable] = None,
                  flows: Optional[List[Any]] = None,
                  faults: Faults = None) -> None:
         if flows is not None and not flows:
             raise ValueError("need at least one flow")
-        self.config = config if config is not None else CPNConfig()
         self._network_given = network
         self._router_given = router
-        self._router_factory = router_factory
         self._flows_given = flows
-        self._faults = faults
-        self.reset(self.config.seed)
+        super().__init__(config, faults=faults)
 
-    def _make_router(self, network: Any, seed: int):
+    def _make_router(self, network: Any, cfg: CPNConfig):
         from ..cpn.routing import CPNRouter, OracleRouter, StaticRouter
         if self._router_given is not None:
             return self._router_given
-        if self._router_factory is not None:
-            return self._router_factory(network, seed)
-        cfg = self.config
         if cfg.router == "self_aware":
             return CPNRouter(network, epsilon=cfg.epsilon,
-                             rng=np.random.default_rng(seed + 1))
+                             rng=np.random.default_rng(cfg.seed + 1))
         if cfg.router == "static":
             return StaticRouter(network)
         if cfg.router == "oracle":
             return OracleRouter(network)
         raise ValueError(f"unknown router {cfg.router!r}")
 
-    def reset(self, seed: Optional[int] = None) -> "CPNSimulator":
+    def _build(self, config, faults) -> None:
         from ..cpn.sim import default_flows
         from ..cpn.topology import CPNetwork
-        seed = self.config.seed if seed is None else seed
-        cfg = self.config
         if self._network_given is not None:
             self.network = self._network_given
         else:
-            self.network = CPNetwork.random_geometric(n=cfg.n_nodes,
-                                                      seed=seed)
-            if cfg.n_disturbances > 0:
+            self.network = CPNetwork.random_geometric(n=config.n_nodes,
+                                                      seed=config.seed)
+            if config.n_disturbances > 0:
                 self.network.schedule_random_disturbances(
-                    horizon=cfg.disturbance_horizon,
-                    count=cfg.n_disturbances)
-        self._router = self._make_router(self.network, seed)
+                    horizon=config.disturbance_horizon,
+                    count=config.n_disturbances)
+        self._router = self._make_router(self.network, config)
         self._flows = (self._flows_given if self._flows_given is not None
                        else default_flows(self.network,
-                                          n_flows=cfg.n_flows, seed=seed))
-        self._injector = _resolve_injector(self._faults, seed)
+                                          n_flows=config.n_flows,
+                                          seed=config.seed))
+        self._injector = faults
         self.records: List[Any] = []
-        self._t = 0.0
-        return self
 
-    def step(self):
+    def _step(self, now: float):
         from ..cpn.sim import routing_step
         record = routing_step(
-            self.network, self._router, self._flows, self._t,
+            self.network, self._router, self._flows, now,
             smart_packets_per_flow=self.config.smart_packets_per_flow,
             faults=self._injector)
         self.records.append(record)
-        self._t += 1.0
         return record
 
     def snapshot(self) -> Dict[str, Any]:
@@ -515,74 +478,42 @@ class CPNSimulator:
         from ..cpn.sim import RoutingResult
         return RoutingResult(records=self.records)
 
-    def run(self):
-        for _ in range(self.config.steps):
-            self.step()
-        return self.result()
-
 
 # ---------------------------------------------------------------------------
 # Robot swarm
 
 
-class SwarmSimulator:
+class SwarmSimulator(_Adapter):
     """The swarm coverage mission behind the protocol."""
 
-    def __init__(self, config: Optional[SwarmConfig] = None, *,
-                 mission_config: Optional[Any] = None,
-                 controller: Optional[Any] = None,
-                 controller_factory: Optional[Callable[[int], Any]] = None,
-                 faults: Faults = None) -> None:
-        self.config = config if config is not None else SwarmConfig()
-        self._mission_config = mission_config  # expert: SwarmMissionConfig
-        self._controller_given = controller
-        self._controller_factory = controller_factory
-        self._faults = faults
-        seed = (mission_config.seed if mission_config is not None
-                else self.config.seed)
-        self.reset(seed)
+    config_type = SwarmConfig
 
-    def _make_controller(self, seed: int):
+    def __init__(self, config: Optional[SwarmConfig] = None, *,
+                 controller: Optional[Any] = None,
+                 faults: Faults = None) -> None:
+        self._controller_given = controller
+        super().__init__(config, faults=faults)
+
+    def _make_controller(self, cfg: SwarmConfig):
         from ..swarm.robots import (RandomPatrol, SelfAwareSwarm,
                                     StaticFormation)
         if self._controller_given is not None:
             return self._controller_given
-        if self._controller_factory is not None:
-            return self._controller_factory(seed)
-        cfg = self.config
         if cfg.controller == "self_aware":
-            return SelfAwareSwarm(rng=np.random.default_rng(seed + 1))
+            return SelfAwareSwarm(rng=np.random.default_rng(cfg.seed + 1))
         if cfg.controller == "static":
             return StaticFormation(cfg.n_robots)
         if cfg.controller == "patrol":
-            return RandomPatrol(rng=np.random.default_rng(seed + 1))
+            return RandomPatrol(rng=np.random.default_rng(cfg.seed + 1))
         raise ValueError(f"unknown swarm controller {cfg.controller!r}")
 
-    def reset(self, seed: Optional[int] = None) -> "SwarmSimulator":
-        from ..swarm.sim import SwarmMission, SwarmMissionConfig
-        seed = self.config.seed if seed is None else seed
-        cfg = self.config
-        if self._mission_config is not None:
-            mission_config = self._mission_config
-        else:
-            mission_config = SwarmMissionConfig(
-                n_robots=cfg.n_robots, steps=cfg.steps,
-                events_per_step=cfg.events_per_step,
-                hotspot_fraction=cfg.hotspot_fraction,
-                n_hotspots=cfg.n_hotspots,
-                shift_fracs=tuple(cfg.shift_fracs),
-                failure_fracs=tuple(map(tuple, cfg.failure_fracs)),
-                seed=seed)
-        self._mission = SwarmMission(
-            self._make_controller(seed), mission_config,
-            faults=_resolve_injector(self._faults, seed))
-        self._t = 0.0
-        return self
+    def _build(self, config, faults) -> None:
+        from ..swarm.sim import SwarmMission
+        self._mission = SwarmMission(self._make_controller(config), config,
+                                     faults=faults)
 
-    def step(self):
-        record = self._mission.step(self._t)
-        self._t += 1.0
-        return record
+    def _step(self, now: float):
+        return self._mission.step(now)
 
     def snapshot(self) -> Dict[str, Any]:
         return {"substrate": "swarm", "time": self._t,
@@ -597,63 +528,56 @@ class SwarmSimulator:
         from ..swarm.sim import SwarmRunResult
         return SwarmRunResult(records=self._mission.records)
 
-    def run(self):
-        for _ in range(self._mission.config.steps):
-            self.step()
-        return self.result()
-
 
 # ---------------------------------------------------------------------------
 # Sensor network
 
 
-class SensornetSimulator:
+class SensornetSimulator(_Adapter):
     """The energy-budgeted sensing node behind the protocol."""
+
+    config_type = SensornetConfig
 
     def __init__(self, config: Optional[SensornetConfig] = None, *,
                  field: Optional[Any] = None,
                  attention: Optional[Any] = None,
                  rng: Optional[np.random.Generator] = None,
                  faults: Faults = None) -> None:
-        self.config = config if config is not None else SensornetConfig()
         self._field_given = field
         self._attention_given = attention
         self._rng_given = rng
-        self._faults = faults
-        self.reset(self.config.seed)
+        super().__init__(config, faults=faults)
 
-    def _make_attention(self, seed: int):
+    def _make_attention(self, cfg: SensornetConfig):
         from ..core.attention import (FullAttention, RandomAttention,
                                       RoundRobinAttention, SalienceAttention)
         if self._attention_given is not None:
             return self._attention_given
-        cfg = self.config
         if cfg.attention == "salience":
             return SalienceAttention(staleness_scale=cfg.staleness_scale)
         if cfg.attention == "round_robin":
             return RoundRobinAttention()
         if cfg.attention == "random":
-            return RandomAttention(rng=np.random.default_rng(seed + 1))
+            return RandomAttention(rng=np.random.default_rng(cfg.seed + 1))
         if cfg.attention == "full":
             return FullAttention()
         raise ValueError(f"unknown attention policy {cfg.attention!r}")
 
-    def reset(self, seed: Optional[int] = None) -> "SensornetSimulator":
+    def _build(self, config, faults) -> None:
         from ..sensornet.field import ChannelField, mixed_channel_specs
         from ..sensornet.node import SensingNode
-        seed = self.config.seed if seed is None else seed
-        cfg = self.config
+        seed = config.seed
         if self._field_given is not None:
             field = self._field_given
         else:
-            field = ChannelField(mixed_channel_specs(cfg.n_channels,
+            field = ChannelField(mixed_channel_specs(config.n_channels,
                                                      seed=seed),
                                  rng=np.random.default_rng(seed))
         rng = (self._rng_given if self._rng_given is not None
                else np.random.default_rng(seed + 2))
-        self._node = SensingNode(field, self._make_attention(seed),
-                                 budget=cfg.budget, rng=rng,
-                                 faults=_resolve_injector(self._faults, seed))
+        self._node = SensingNode(field, self._make_attention(config),
+                                 budget=config.budget, rng=rng,
+                                 faults=faults)
         self.records: List[Any] = []
         # Running sums so metrics() stays O(1) however long the session
         # lives: a served session calls metrics() on every step request,
@@ -663,15 +587,12 @@ class SensornetSimulator:
         # records list, so payloads do not change.
         self._error_sum = 0.0
         self._energy_sum = 0.0
-        self._t = 0.0
-        return self
 
-    def step(self):
-        record = self._node.step(self._t)
+    def _step(self, now: float):
+        record = self._node.step(now)
         self.records.append(record)
         self._error_sum += record.error
         self._energy_sum += record.energy_spent
-        self._t += 1.0
         return record
 
     def snapshot(self) -> Dict[str, Any]:
@@ -693,27 +614,22 @@ class SensornetSimulator:
         from ..sensornet.node import SensingRunResult
         return SensingRunResult(records=self.records)
 
-    def run(self):
-        for _ in range(self.config.steps):
-            self.step()
-        return self.result()
-
 
 # ---------------------------------------------------------------------------
 # Serving layer
 
 
-class _ServingAdapter:
-    """What the serving-layer adapters share: ``reset`` re-seeds the
-    config and builds the simulation (:meth:`_build`); the protocol
-    calls delegate to it."""
+class _ServingAdapter(_Adapter):
+    """What the serving-layer adapters add: the simulation keeps its own
+    clock, so the protocol calls delegate to it.  A twin replay source
+    (:class:`repro.twin.TraceWorkload`) is a live object, so it rides
+    the ``workload`` keyword rather than the config."""
 
-    def reset(self, seed: Optional[int] = None) -> Any:
-        config = self.config
-        if seed is not None and seed != config.seed:
-            config = dataclasses.replace(config, seed=seed)
-        self._sim = self._build(config)
-        return self
+    def __init__(self, config: Optional[Any] = None, *,
+                 workload: Optional[Any] = None,
+                 faults: Faults = None) -> None:
+        self._workload_given = workload
+        super().__init__(config, faults=faults)
 
     def step(self):
         return self._sim.step()
@@ -727,9 +643,6 @@ class _ServingAdapter:
     def result(self):
         return self._sim.records
 
-    def run(self):
-        return self._sim.run()
-
 
 class ServeSimulator(_ServingAdapter):
     """The serving-layer control loop behind the protocol.
@@ -740,21 +653,12 @@ class ServeSimulator(_ServingAdapter):
     in the control seat (see :mod:`repro.serve.simulation`).
     """
 
-    def __init__(self, config: Optional[ServeConfig] = None, *,
-                 workload: Optional[Any] = None,
-                 faults: Faults = None) -> None:
-        self.config = config if config is not None else ServeConfig()
-        #: Twin replay source (:class:`repro.twin.TraceWorkload`); a live
-        #: object, so it rides the expert path rather than the config.
-        self._workload_given = workload
-        self._faults = faults
-        self.reset(self.config.seed)
+    config_type = ServeConfig
 
-    def _build(self, config: ServeConfig) -> Any:
+    def _build(self, config, faults) -> None:
         from ..serve.simulation import ServingSimulation
-        return ServingSimulation(
-            config, workload=self._workload_given,
-            faults=_resolve_injector(self._faults, config.seed))
+        self._sim = ServingSimulation(config, workload=self._workload_given,
+                                      faults=faults)
 
 
 class ClusterSimulator(_ServingAdapter):
@@ -765,34 +669,33 @@ class ClusterSimulator(_ServingAdapter):
     per-node, or statically (see :mod:`repro.serve.cluster`).
     """
 
+    config_type = ClusterConfig
+
     def __init__(self, config: Optional[ClusterConfig] = None, *,
                  workload: Optional[Any] = None,
                  faults: Faults = None) -> None:
-        self.config = config if config is not None else ClusterConfig()
         if faults is not None:
             raise ValueError(
                 "the cluster substrate does not take fault plans yet; "
                 "model node failure as gossip staleness instead")
-        #: Twin replay source (:class:`repro.twin.TraceWorkload`).
-        self._workload_given = workload
-        self.reset(self.config.seed)
+        super().__init__(config, workload=workload)
 
-    def _build(self, config: ClusterConfig) -> Any:
+    def _build(self, config, faults) -> None:
         from ..serve.cluster import ClusterSimulation
-        return ClusterSimulation(config, workload=self._workload_given)
+        self._sim = ClusterSimulation(config, workload=self._workload_given)
 
 
 #: Declarative registry: substrate name -> (config class, adapter class).
-SIMULATORS = {
-    "smartcamera": (CameraConfig, CameraSimulator),
-    "cloud": (CloudConfig, CloudSimulator),
-    "multicore": (MulticoreConfig, MulticoreSimulator),
-    "cpn": (CPNConfig, CPNSimulator),
-    "swarm": (SwarmConfig, SwarmSimulator),
-    "sensornet": (SensornetConfig, SensornetSimulator),
-    "serve": (ServeConfig, ServeSimulator),
-    "cluster": (ClusterConfig, ClusterSimulator),
-}
+SIMULATORS = {name: (adapter.config_type, adapter) for name, adapter in (
+    ("smartcamera", CameraSimulator),
+    ("cloud", CloudSimulator),
+    ("multicore", MulticoreSimulator),
+    ("cpn", CPNSimulator),
+    ("swarm", SwarmSimulator),
+    ("sensornet", SensornetSimulator),
+    ("serve", ServeSimulator),
+    ("cluster", ClusterSimulator),
+)}
 
 
 def make_simulator(substrate: str, config: Optional[Any] = None,

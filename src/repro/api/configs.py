@@ -9,11 +9,14 @@ One ``*Config`` per substrate, all following the same conventions:
 * **JSON-safe fields** -- strings, numbers, tuples; behavioural choices
   (which controller, which scaler) are named by string rather than
   passed as live objects, so a config can ride through the parallel
-  engine untouched.  Adapters additionally accept live factories for
-  the rich cases the experiments need.
+  engine untouched.  Adapters additionally accept live objects (a
+  scaler, a governor, a network) for what a config cannot say.
 
-The mapping from each removed ``run_*`` entry point's kwargs to these
-fields is the migration table in ``DESIGN.md``.
+Each config is its substrate's only parameter record: the simulation
+classes (:class:`~repro.smartcamera.sim.CameraSimulation`,
+:class:`~repro.swarm.sim.SwarmMission`) take it directly.  The mapping
+from each removed ``run_*`` entry point's kwargs to these fields is the
+migration table in ``DESIGN.md``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Optional, Tuple
 
 @dataclass(frozen=True, kw_only=True)
 class CameraConfig:
-    """Smart-camera network run (legacy: ``CameraSimConfig`` + the
-    fixed-vs-learning entry point split, now the ``controller`` field)."""
+    """Smart-camera network run; the fixed-vs-learning choice is the
+    ``controller`` field."""
 
     rows: int = 3
     cols: int = 3
@@ -39,6 +42,10 @@ class CameraConfig:
     detection_rate: float = 0.15
     random_placement: bool = False
     seed: int = 0
+    #: Optional run-time changes to the communication price:
+    #: ``(time, weight)`` breakpoints.  Models stakeholders re-pricing
+    #: the bandwidth/utility trade-off after deployment; when ``None``
+    #: the constant ``comm_cost_weight`` applies throughout.
     comm_weight_breaks: Optional[Tuple[Tuple[float, float], ...]] = None
     #: ``"self_aware"`` (learning controllers) or ``"fixed"`` (every
     #: camera pinned to ``strategy``).
@@ -52,12 +59,12 @@ class CameraConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class CloudConfig:
-    """Autoscaled cluster run (legacy: a scaler object +
-    ``cluster_kwargs`` dict + ad-hoc demand closures)."""
+    """Autoscaled cluster run (legacy: a scaler object, a cluster
+    kwargs dict and ad-hoc demand closures)."""
 
     steps: int = 600
     seed: int = 0
-    # Cluster (legacy cluster_kwargs)
+    # Cluster
     capacity_per_server: float = 10.0
     boot_delay: int = 5
     min_servers: int = 1
@@ -119,15 +126,17 @@ class CPNConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class SwarmConfig:
-    """Swarm coverage mission (legacy: ``SwarmMissionConfig`` +
-    a controller object)."""
+    """Swarm coverage mission (legacy: a mission config plus a
+    controller object)."""
 
     n_robots: int = 9
     steps: int = 800
     events_per_step: float = 3.0
     hotspot_fraction: float = 0.7
     n_hotspots: int = 2
+    #: Hotspots jump at these times (fractions of the run).
     shift_fracs: Tuple[float, ...] = (0.4,)
+    #: (time fraction, robot index) pairs: robots that die mid-mission.
     failure_fracs: Tuple[Tuple[float, int], ...] = ((0.7, 0), (0.7, 1))
     seed: int = 0
     #: ``"self_aware"``, ``"static"`` or ``"patrol"``.

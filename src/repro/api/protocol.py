@@ -8,9 +8,8 @@ tooling -- impossible to write once.  :class:`Simulator` is the
 common surface:
 
 ``reset(seed)``
-    (Re)build the simulation from its config for one run.  Adapters
-    construct the underlying substrate exactly as the legacy entry
-    points did, so a reset-then-run is byte-identical to the old path.
+    (Re)build the simulation from its config for one run: ``reset(s)``
+    equals a fresh adapter over ``dataclasses.replace(config, seed=s)``.
 ``step()``
     Advance one tick; returns the substrate's native step record.
 ``snapshot()`` / ``metrics()``

@@ -18,8 +18,9 @@ from .harness import KernelSpec, StepRunner
 
 def _camera_setup(rows: int = 7, cols: int = 7, radius: float = 0.28,
                   n_objects: int = 48) -> StepRunner:
+    from ..api.configs import CameraConfig
     from ..smartcamera.controller import SelfAwareStrategyController
-    from ..smartcamera.sim import CameraSimConfig, CameraSimulation
+    from ..smartcamera.sim import CameraSimulation
 
     # A larger deployment than the E2 table (49 cameras, 48 objects at
     # the default tier): the candidate index's advantage is asymptotic,
@@ -28,10 +29,10 @@ def _camera_setup(rows: int = 7, cols: int = 7, radius: float = 0.28,
     # pitch so the coverage *density* stays constant -- otherwise every
     # camera sees every point and the candidate index has nothing to
     # prune.
-    config = CameraSimConfig(rows=rows, cols=cols, radius=radius,
-                             n_objects=n_objects,
-                             object_speed=0.035, detection_rate=0.08,
-                             random_placement=True, seed=0)
+    config = CameraConfig(rows=rows, cols=cols, radius=radius,
+                          n_objects=n_objects,
+                          object_speed=0.035, detection_rate=0.08,
+                          random_placement=True, seed=0)
     sim = CameraSimulation(
         config,
         controller_factory=lambda cid, rng: SelfAwareStrategyController(
@@ -70,15 +71,16 @@ def _observers_setup() -> StepRunner:
 
 def _swarm_setup(n_robots: int = 32,
                  events_per_step: float = 8.0) -> StepRunner:
+    from ..api.configs import SwarmConfig
     from ..swarm.robots import SelfAwareSwarm
-    from ..swarm.sim import SwarmMission, SwarmMissionConfig
+    from ..swarm.sim import SwarmMission
 
     # Larger than the E12 mission (32 robots, 8 events/step) so the
     # O(robots x memory x alive) attribution cost is the dominant term,
     # as it is on long real missions.
     controller = SelfAwareSwarm(rng=np.random.default_rng(7))
-    config = SwarmMissionConfig(n_robots=n_robots, steps=300,
-                                events_per_step=events_per_step, seed=0)
+    config = SwarmConfig(n_robots=n_robots, steps=300,
+                         events_per_step=events_per_step, seed=0)
     mission = SwarmMission(controller, config)
     t = 0.0
 

@@ -21,7 +21,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..cloud.autoscaler import SelfAwareScaler, make_cloud_goal
-from ..cloud.cluster import ServiceCluster
 from ..core.levels import CapabilityProfile, SelfAwarenessLevel
 from ..core.models import ContextualActionModel
 from ..core.node import SelfAwareNode
@@ -30,7 +29,7 @@ from ..learning.forecast import make_forecaster
 from ..smartcamera.market import Bid, HandoverMarket
 from .e1_levels import (ResourceAllocationEnvironment, _run_one,
                         make_e1_goal, make_e1_sensors)
-from .e3_cloud import CLUSTER, make_demand
+from .e3_cloud import CLUSTER, cloud_simulator, make_demand
 from .harness import ExperimentTable
 
 
@@ -105,13 +104,7 @@ def run_forecasters_shard(seed: int, steps: int = 600) -> Dict[str, List[float]]
             goal, boot_delay=CLUSTER["boot_delay"],
             forecaster=make_forecaster(kind, **kwargs),
             max_servers=CLUSTER["max_servers"])
-        cluster = ServiceCluster(**CLUSTER)
-        metrics = None
-        history = []
-        for t in range(steps):
-            cluster.request_scale(scaler.decide(float(t), metrics))
-            metrics = cluster.step(float(t), max(0.0, demand(float(t))))
-            history.append(metrics)
+        history = cloud_simulator(steps, scaler, demand).run()
         payload[kind] = [
             float(np.mean([goal.utility(m.as_dict()) for m in history])),
             float(np.mean([m.qos for m in history])),

@@ -16,10 +16,9 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from ..api import SwarmSimulator
+from ..api import SwarmConfig, SwarmSimulator
 from ..swarm.robots import (RandomPatrol, SelfAwareSwarm, StaticFormation,
                             SwarmController)
-from ..swarm.sim import SwarmMissionConfig
 from .harness import ExperimentTable
 
 
@@ -39,10 +38,8 @@ def run_shard(seed: int, steps: int = 800,
     """One seed's worth of E12: four detection rates per controller."""
     payload: Dict[str, List[float]] = {}
     for name, factory in controller_factories(n_robots).items():
-        config = SwarmMissionConfig(n_robots=n_robots, steps=steps,
-                                    seed=seed)
-        result = SwarmSimulator(mission_config=config,
-                                controller=factory(seed)).run()
+        config = SwarmConfig(n_robots=n_robots, steps=steps, seed=seed)
+        result = SwarmSimulator(config, controller=factory(seed)).run()
         payload[name] = [result.detection_rate(),
                          result.detection_rate(0.0, 0.4 * steps),
                          result.detection_rate(0.45 * steps, 0.7 * steps),

@@ -21,26 +21,24 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..api import CameraSimulator
-from ..smartcamera.controller import (FixedStrategyController,
-                                      SelfAwareStrategyController)
-from ..smartcamera.sim import CameraSimConfig
+from ..api import CameraConfig, CameraSimulator
 from ..smartcamera.strategies import ALL_STRATEGIES
 from .harness import ExperimentTable
 
 SCENARIOS: Dict[str, Dict] = {
     "cheap_comms": dict(comm_cost_weight=0.003),
     "pricey_comms": dict(comm_cost_weight=0.03),
-    "price_change": dict(comm_cost_weight=0.003,
-                         comm_weight_breaks=[(None, 0.03)]),  # filled below
+    # The price rises to 0.03 at half time (breakpoint set in _config).
+    "price_change": dict(comm_cost_weight=0.003),
 }
 
 
-def _config(scenario: str, seed: int, steps: int) -> CameraSimConfig:
-    kwargs = dict(SCENARIOS[scenario])
+def _config(scenario: str, seed: int, steps: int,
+            **controller) -> CameraConfig:
+    kwargs = dict(SCENARIOS[scenario], **controller)
     if scenario == "price_change":
-        kwargs["comm_weight_breaks"] = [(steps / 2.0, 0.03)]
-    return CameraSimConfig(
+        kwargs["comm_weight_breaks"] = ((steps / 2.0, 0.03),)
+    return CameraConfig(
         rows=3, cols=3, n_objects=8, object_speed=0.035,
         detection_rate=0.08, random_placement=True, steps=steps,
         seed=seed, **kwargs)
@@ -52,17 +50,15 @@ def run_shard(seed: int, steps: int = 800) -> Dict[str, Dict[str, List[float]]]:
     for scenario in SCENARIOS:
         per_scenario: Dict[str, List[float]] = {}
         for strategy in ALL_STRATEGIES:
-            result = CameraSimulator(
-                sim_config=_config(scenario, seed, steps),
-                controller_factory=lambda cid, rng, s=strategy:
-                    FixedStrategyController(cid, s)).run()
+            result = CameraSimulator(_config(
+                scenario, seed, steps, controller="fixed",
+                strategy=strategy.name)).run()
             per_scenario[strategy.value] = [
                 result.efficiency(), result.mean_tracking_utility(),
                 result.mean_messages()]
-        result = CameraSimulator(
-            sim_config=_config(scenario, seed, steps),
-            controller_factory=lambda cid, rng: SelfAwareStrategyController(
-                cid, epsilon=0.05, discount=0.995, rng=rng)).run()
+        result = CameraSimulator(_config(
+            scenario, seed, steps, controller="self_aware",
+            epsilon=0.05, discount=0.995)).run()
         per_scenario["self-aware"] = [
             result.efficiency(), result.mean_tracking_utility(),
             result.mean_messages(), result.diversity_bits()]

@@ -12,20 +12,28 @@ which only the goal-reading scaler can follow.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
+from ..api import CloudConfig, CloudSimulator
 from ..cloud.autoscaler import (Autoscaler, OracleScaler, ReactiveScaler,
                                 SelfAwareScaler, StaticScaler,
                                 make_cloud_goal)
-from ..cloud.cluster import ClusterMetrics, ServiceCluster
+from ..cloud.cluster import ClusterMetrics
 from ..envgen.processes import Shock, ShockSchedule
 from ..envgen.workloads import RequestRateWorkload
 from .harness import ExperimentTable
 
 CLUSTER = dict(capacity_per_server=10.0, boot_delay=5, max_servers=40,
                initial_servers=4)
+
+
+def cloud_simulator(steps: int, scaler: Autoscaler,
+                    demand: Callable[[float], float]) -> CloudSimulator:
+    """The E3 cluster (:data:`CLUSTER`) under ``scaler`` and ``demand``."""
+    return CloudSimulator(CloudConfig(steps=steps, **CLUSTER),
+                          scaler=scaler, demand_fn=demand)
 
 
 def make_demand(seed: int, steps: int) -> Callable[[float], float]:
@@ -36,20 +44,6 @@ def make_demand(seed: int, steps: int) -> Callable[[float], float]:
                                     magnitude=1.2)]),
         noise_std=0.05, rng=np.random.default_rng(seed))
     return workload.rate
-
-
-def _drive(scaler: Autoscaler, demand, goal, steps: int,
-           reweight_at: Optional[float] = None) -> List[ClusterMetrics]:
-    cluster = ServiceCluster(**CLUSTER)
-    history: List[ClusterMetrics] = []
-    metrics: Optional[ClusterMetrics] = None
-    for t in range(steps):
-        if reweight_at is not None and t == int(reweight_at):
-            goal.set_weights({"qos": 0.3, "cost": 0.7})
-        cluster.request_scale(scaler.decide(float(t), metrics))
-        metrics = cluster.step(float(t), max(0.0, demand(float(t))))
-        history.append(metrics)
-    return history
 
 
 def _score(history: List[ClusterMetrics], goal) -> Dict[str, float]:
@@ -83,7 +77,7 @@ def run_shard(seed: int, steps: int = 600) -> Dict[str, Dict[str, float]]:
     demand = make_demand(seed, steps)
     goal = make_cloud_goal()
     for name, factory in scaler_factories(goal, demand).items():
-        history = _drive(factory(), demand, goal, steps)
+        history = cloud_simulator(steps, factory(), demand).run()
         payload[name] = _score(history, goal)
     return payload
 
@@ -130,7 +124,12 @@ def run_goal_change_shard(seed: int, steps: int = 600) -> Dict[str, List[float]]
         demand = make_demand(seed, steps)
         goal = make_cloud_goal()
         factory = scaler_factories(goal, demand)[name]
-        history = _drive(factory(), demand, goal, steps, reweight_at=half)
+        sim = cloud_simulator(steps, factory(), demand)
+        for t in range(steps):
+            if t == half:
+                goal.set_weights({"qos": 0.3, "cost": 0.7})
+            sim.step()
+        history = sim.result()
         eval_goal_early = make_cloud_goal()
         eval_goal_late = make_cloud_goal(qos_weight=0.3, cost_weight=0.7)
         payload[name] = [

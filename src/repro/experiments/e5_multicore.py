@@ -17,7 +17,6 @@ from ..multicore.governor import (Governor, OndemandGovernor,
                                   SelfAwareGovernor, StaticGovernor,
                                   make_multicore_goal)
 from ..api import MulticoreConfig, MulticoreSimulator
-from ..multicore.sim import make_platform, make_workload
 from .harness import ExperimentTable
 
 TEMP_CAP = 82.0
@@ -41,10 +40,8 @@ def run_shard(seed: int, steps: int = 1000) -> Dict[str, List[float]]:
     for name in governor_factories(eval_goal):
         goal = make_multicore_goal()
         governor = governor_factories(goal)[name]()
-        result = MulticoreSimulator(MulticoreConfig(steps=steps),
-                                    governor=governor,
-                                    workload=make_workload(seed=seed),
-                                    platform=make_platform()).run()
+        result = MulticoreSimulator(MulticoreConfig(steps=steps, seed=seed),
+                                    governor=governor).run()
         payload[name] = [result.mean_utility(eval_goal),
                          result.mean_throughput(), result.mean_energy(),
                          result.mean_queue(),
@@ -94,10 +91,8 @@ def run_goal_change_shard(seed: int, steps: int = 800) -> Dict[str, List[float]]
                 goal.set_weights({"throughput": 0.15, "energy": 0.7,
                                   "queue": 0.15})
 
-        result = MulticoreSimulator(MulticoreConfig(steps=steps),
+        result = MulticoreSimulator(MulticoreConfig(steps=steps, seed=seed),
                                     governor=governor,
-                                    workload=make_workload(seed=seed),
-                                    platform=make_platform(),
                                     on_step=on_step).run()
         energies = [m.energy for m in result.history]
         payload[name] = [float(np.mean(energies[:half])),

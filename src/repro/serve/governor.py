@@ -26,8 +26,8 @@ Self-expression       the returned :class:`GovernorDecision`: resize the
 Meta-self-awareness   :class:`~repro.faults.degrade.DegradationMonitor`
                       watching the self-model's confidence; while
                       degraded the governor holds the last good pool
-                      size, tightens admission and flags stale-snapshot
-                      serving
+                      size, tightens admission and flags it
+                      (``serve_stale``, reported by ``stats``)
 ===================  ======================================================
 
 Sans-io and deterministic under a seed: the same governor instance runs

@@ -37,8 +37,7 @@ meets here:
   session's current step are answered from its step cache;
 * a :class:`~repro.serve.governor.ServeGovernor` periodically senses
   queue depth, arrival rate and request latency and re-expresses pool
-  size and admission settings; while degraded, ``snapshot`` serves
-  stale cached snapshots instead of touching simulators;
+  size and admission settings;
 * when wired into a cluster (shared ring / placement map / gossip
   board from :mod:`repro.serve.cluster`), session ops owned elsewhere
   are refused with a retryable ``moved`` error naming the owner, and
@@ -225,32 +224,26 @@ class SimulationServer:
                     # The line overran the stream limit.  The rest of it
                     # is still in flight, so the stream cannot be
                     # re-synchronised: answer once, then close.
-                    writer.write(json.dumps(error_response(
+                    writer.write(self._encode({}, error_response(
                         ErrorCode.TOO_LARGE,
-                        f"request line too long: {exc}")).encode() + b"\n")
+                        f"request line too long: {exc}"),
+                        self._clock()) + b"\n")
                     await writer.drain()
                     break
                 if not line:
                     break
+                t0 = self._clock()
                 try:
                     request = json.loads(line)
                     if not isinstance(request, dict):
                         raise ValueError("request must be a JSON object")
                 except (ValueError, RecursionError) as exc:
+                    request = {}
                     response = error_response(ErrorCode.BAD_REQUEST,
                                               f"unparseable: {exc}")
                 else:
-                    response = await self.dispatch(request)
-                try:
-                    line = json.dumps(response).encode()
-                except (TypeError, ValueError, RecursionError) as exc:
-                    # A substrate broke the JSON-native contract: still
-                    # one reply, and the connection keeps serving.
-                    log.exception("reply not encodable")
-                    line = json.dumps(error_response(
-                        ErrorCode.INTERNAL,
-                        f"reply not encodable: {exc}")).encode()
-                writer.write(line + b"\n")
+                    response = await self.dispatch(request, noted=False)
+                writer.write(self._encode(request, response, t0) + b"\n")
                 await writer.drain()
         finally:
             writer.close()
@@ -259,17 +252,46 @@ class SimulationServer:
             except Exception:
                 pass
 
-    async def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _encode(self, request: Dict[str, Any], response: Dict[str, Any],
+                t0: float) -> bytes:
+        """The wire line for ``response``, noted as the reply it is.
+
+        A reply ``json.dumps`` rejects -- a substrate broke the
+        JSON-native contract -- becomes one ``internal`` reply, and that
+        is what the ``serve.request`` event reports.
+        """
+        try:
+            line = json.dumps(response).encode()
+        except (TypeError, ValueError, RecursionError) as exc:
+            log.exception("reply not encodable")
+            response = error_response(ErrorCode.INTERNAL,
+                                      f"reply not encodable: {exc}")
+            line = json.dumps(response).encode()
+        self._note_reply(request, response, t0)
+        return line
+
+    async def dispatch(self, request: Dict[str, Any], *,
+                       noted: bool = True) -> Dict[str, Any]:
         """Handle one request dict; the socket and in-process entry point.
 
-        Every reply -- success, refusal or failure -- leaves through the
-        one ``serve.request`` event (when telemetry is on), carrying
-        ``ok`` and the error ``code`` (``None`` when ok).
+        The reply is noted (:meth:`_note_reply`) as it is returned; the
+        socket path passes ``noted=False`` and notes it once encoded
+        (:meth:`_encode`), when the client's code is final.
         """
         t0 = self._clock()
         self.requests_seen += 1
         self._window_requests += 1
         response = await self._respond(request, t0)
+        if noted:
+            self._note_reply(request, response, t0)
+        return response
+
+    def _note_reply(self, request: Dict[str, Any],
+                    response: Dict[str, Any], t0: float) -> None:
+        """Every reply -- success, refusal or failure -- leaves through
+        exactly one ``serve.request`` event (when telemetry is on),
+        carrying ``ok`` and the error ``code`` the client got (``None``
+        when ok)."""
         if obs_events.enabled():
             error = response.get("error")
             op = request.get("op")
@@ -279,7 +301,6 @@ class SimulationServer:
                             ok=bool(response.get("ok")),
                             code=error["code"] if error else None, t=t0,
                             session=request.get("session"))
-        return response
 
     async def _respond(self, request: Dict[str, Any],
                        t0: float) -> Dict[str, Any]:
@@ -415,15 +436,11 @@ class SimulationServer:
         session = self.sessions.get(str(request.get("session")), now)
         result = self.sessions.snapshots.get(session.session_id,
                                              session.steps_taken)
-        stale = False
-        if result is None and self.serve_stale:
-            latest = self.sessions.snapshots.latest(session.session_id)
-            if latest is not None:
-                result, stale = latest[1], True
         if result is None:
             result = await self._step_via_batch(session, 0)
+        # ``stale`` stays in the v1 reply: every snapshot is current.
         return {"session": session.session_id,
-                "snapshot": result["snapshot"], "stale": stale}
+                "snapshot": result["snapshot"], "stale": False}
 
     async def _op_metrics(self, request: Dict[str, Any],
                           now: float) -> Dict[str, Any]:

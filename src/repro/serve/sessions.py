@@ -26,10 +26,9 @@ own.  Pool workers keep their own bounded LRU instead
   replays to ``steps_taken``, reproducing the exact pre-hibernation
   state (the replay guarantee doing production work).
 
-A small LRU :class:`SnapshotCache` keeps recent step results (``metrics``
-next to ``snapshot``) per session: reads at a session's current step
-need no batch, and when the governor has degraded the service,
-stale-but-instant snapshots are served without touching a simulator.
+A :class:`SnapshotCache` keeps each session's latest step result
+(``metrics`` next to ``snapshot``): reads at a session's current step
+need no batch.
 
 Sans-io: all methods take ``now`` explicitly.
 """
@@ -38,9 +37,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import events as obs_events
 
@@ -78,63 +76,37 @@ class Session:
 
 
 class SnapshotCache:
-    """LRU cache of ``(session_id, step) -> step result`` with stale lookup.
+    """Each session's latest step result, one slot per session.
 
     A server stores each :func:`~repro.serve.batching.run_step_batch`
-    result whole (shared with its reply, so read-only); ``get`` returns
-    it, ``None`` on a miss.  ``latest(session_id)`` returns the most
-    recent entry for a session regardless of step -- the degraded-mode
-    path ("serve stale snapshots") -- tagged with the step it was taken
-    at.  A per-session index of cached steps keeps ``latest`` and
-    ``drop_session`` from scanning the whole cache; it never changes
-    the LRU order.
+    result whole (shared with its reply, so read-only) under the step
+    it was taken at; a later step replaces it.  ``get`` returns the
+    entry when the session's slot holds that step, ``None`` on a miss.
+    Slots go with their sessions (:meth:`drop_session`), so memory is
+    bounded by the table's ``max_sessions``.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._cache: "OrderedDict[Tuple[str, int], Dict[str, Any]]" = OrderedDict()
-        self._steps: Dict[str, Set[int]] = {}
+    def __init__(self) -> None:
+        self._slots: Dict[str, Tuple[int, Dict[str, Any]]] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._slots)
 
     def put(self, session_id: str, step: int, entry: Dict[str, Any]) -> None:
-        key = (session_id, step)
-        if key in self._cache:
-            self._cache.move_to_end(key)
-        self._cache[key] = entry
-        self._steps.setdefault(session_id, set()).add(step)
-        while len(self._cache) > self.max_entries:
-            (sid, old_step), _ = self._cache.popitem(last=False)
-            steps = self._steps[sid]
-            steps.discard(old_step)
-            if not steps:
-                del self._steps[sid]
+        self._slots[session_id] = (step, entry)
 
     def get(self, session_id: str, step: int) -> Optional[Dict[str, Any]]:
-        entry = self._cache.get((session_id, step))
-        if entry is None:
+        slot = self._slots.get(session_id)
+        if slot is None or slot[0] != step:
             self.misses += 1
             return None
-        self._cache.move_to_end((session_id, step))
         self.hits += 1
-        return entry
-
-    def latest(self, session_id: str) -> Optional[Tuple[int, Dict[str, Any]]]:
-        """Most recent cached ``(step, entry)`` for the session, if any."""
-        steps = self._steps.get(session_id)
-        if not steps:
-            return None
-        step = max(steps)
-        return step, self._cache[(session_id, step)]
+        return slot[1]
 
     def drop_session(self, session_id: str) -> None:
-        for step in self._steps.pop(session_id, ()):
-            del self._cache[(session_id, step)]
+        self._slots.pop(session_id, None)
 
 
 class SessionTable:
@@ -146,8 +118,6 @@ class SessionTable:
         Idle time after which :meth:`evict_expired` removes a session.
     max_sessions:
         Hard bound on live sessions; ``create`` beyond it raises.
-    snapshot_cache:
-        Capacity of the shared LRU step-result cache.
     id_prefix:
         Prepended to minted session ids.  A cluster node passes
         ``f"{node_id}-"`` so ids are unique cluster-wide and carry their
@@ -155,7 +125,7 @@ class SessionTable:
     """
 
     def __init__(self, *, ttl: float = 300.0, max_sessions: int = 1024,
-                 snapshot_cache: int = 256, id_prefix: str = "") -> None:
+                 id_prefix: str = "") -> None:
         if ttl <= 0:
             raise ValueError("ttl must be positive")
         if max_sessions < 1:
@@ -163,7 +133,7 @@ class SessionTable:
         self.ttl = float(ttl)
         self.max_sessions = max_sessions
         self.id_prefix = id_prefix
-        self.snapshots = SnapshotCache(snapshot_cache)
+        self.snapshots = SnapshotCache()
         self._sessions: Dict[str, Session] = {}
         #: The sessions' live simulators, as a simulator map for
         #: :func:`repro.serve.batching.run_step_batch`; an entry goes

@@ -245,7 +245,6 @@ class ServingSimulation:
         self.node = SimNode(self.governor, self.governor.pool_target, cfg,
                             self.rng, self._all_latencies, min_pool=1)
         self.records: List[Dict[str, float]] = []
-        self.serve_stale = False
         self._t = 0.0
         return self
 
@@ -300,8 +299,7 @@ class ServingSimulation:
                 for key in ("queue_depth", "arrival_rate", "p95_latency"):
                     readings[key] = max(0.0, self.faults.perturb(
                         readings[key], target="serve.telemetry"))
-            decision = node.govern(t, readings)
-            self.serve_stale = bool(decision.serve_stale)
+            node.govern(t, readings)
 
         completions = node.completions
         record = {"time": t, "offered": float(offered),

@@ -15,8 +15,7 @@ from .controller import (CameraController, FixedStrategyController,
 from .market import AuctionOutcome, Bid, HandoverMarket
 from .network import Camera, CameraNetwork
 from .objects import MovingObject, ObjectPopulation
-from .sim import (CameraSimConfig, CameraSimResult, CameraSimulation,
-                  CameraStepRecord)
+from .sim import CameraSimResult, CameraSimulation, CameraStepRecord
 from .strategies import (ALL_STRATEGIES, Strategy, advertisement_targets,
                          should_auction)
 
@@ -26,7 +25,6 @@ __all__ = [
     "AuctionOutcome", "Bid", "HandoverMarket",
     "Camera", "CameraNetwork",
     "MovingObject", "ObjectPopulation",
-    "CameraSimConfig", "CameraSimResult", "CameraSimulation",
-    "CameraStepRecord",
+    "CameraSimResult", "CameraSimulation", "CameraStepRecord",
     "ALL_STRATEGIES", "Strategy", "advertisement_targets", "should_auction",
 ]

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:
+    from ..api.configs import CameraConfig
     from ..faults.injector import FaultInjector
 
 import numpy as np
@@ -38,48 +39,6 @@ from .market import HandoverMarket
 from .network import CameraNetwork
 from .objects import ObjectPopulation
 from .soa import best_observer_row_scalar, possible_rows
-
-
-@dataclass
-class CameraSimConfig:
-    """Parameters of one smart-camera run."""
-
-    rows: int = 3
-    cols: int = 3
-    radius: float = 0.28
-    n_objects: int = 8
-    object_speed: float = 0.02
-    churn_rate: float = 0.02
-    steps: int = 500
-    comm_cost_weight: float = 0.01
-    auction_threshold: float = 0.3
-    detection_rate: float = 0.15
-    random_placement: bool = False
-    seed: int = 0
-    #: Optional run-time changes to the communication price: a list of
-    #: ``(time, weight)`` breakpoints.  Models stakeholders re-pricing the
-    #: bandwidth/utility trade-off after deployment; when ``None`` the
-    #: constant ``comm_cost_weight`` applies throughout.
-    comm_weight_breaks: Optional[List[tuple]] = None
-
-    def __post_init__(self) -> None:
-        # Sort the breakpoints once; ``comm_weight_at`` runs every step
-        # and must not pay an O(n log n) sort per call.  Stored on a
-        # private attribute so a caller-held reference to the original
-        # list is never reordered under them.
-        self._sorted_breaks = (sorted(self.comm_weight_breaks)
-                               if self.comm_weight_breaks else None)
-
-    def comm_weight_at(self, t: float) -> float:
-        """The communication-cost weight in force at time ``t``."""
-        breaks = self._sorted_breaks
-        if not breaks:
-            return self.comm_cost_weight
-        weight = self.comm_cost_weight
-        for start, value in breaks:
-            if t >= start:
-                weight = value
-        return weight
 
 
 @dataclass(slots=True)
@@ -143,16 +102,26 @@ class CameraSimResult:
 
 
 class CameraSimulation:
-    """One configured run of the camera network."""
+    """One configured run of the camera network, stepped from outside.
+
+    :class:`repro.api.CameraSimulator` drives it through a run;
+    ``repro.bench`` steps it one tick at a time to measure the per-step
+    kernel cost.
+    """
 
     def __init__(
         self,
-        config: CameraSimConfig,
+        config: "CameraConfig",
         controller_factory: Callable[[int, np.random.Generator], CameraController],
         faults: Optional["FaultInjector"] = None,
     ) -> None:
         self.config = config
         self.faults = faults
+        # The run-time re-pricing breakpoints, sorted once: the step
+        # reads the price in force every tick.  ``sorted`` copies, so a
+        # caller's list is never reordered under them.
+        self._comm_breaks = (sorted(config.comm_weight_breaks)
+                             if config.comm_weight_breaks else None)
         self._rng = np.random.default_rng(config.seed)
         if config.random_placement:
             self.network = CameraNetwork.random(
@@ -173,12 +142,23 @@ class CameraSimulation:
         self.records: List[CameraStepRecord] = []
         self._cam_ids = self.network.ids()  # hoisted: ids() copies per call
 
+    def comm_weight_at(self, t: float) -> float:
+        """The communication-cost weight in force at time ``t``: the
+        last ``(time, weight)`` breakpoint reached, else the constant
+        ``comm_cost_weight``."""
+        weight = self.config.comm_cost_weight
+        if self._comm_breaks:
+            for start, value in self._comm_breaks:
+                if t >= start:
+                    weight = value
+        return weight
+
     def _finish_step(self, t, down, utility_by_camera, messages_by_camera,
                      total_utility, handovers) -> CameraStepRecord:
         """Step tail: reward feedback, record, observability."""
         # Local reward feedback: own utility minus own communication cost,
         # at the price currently in force (goal-awareness of re-pricing).
-        comm_weight = self.config.comm_weight_at(t)
+        comm_weight = self.comm_weight_at(t)
         for cid, controller in self.controllers.items():
             if cid in down:
                 continue
@@ -385,12 +365,3 @@ class CameraSimulation:
 
         return self._finish_step(t, down, utility_by_camera,
                                  messages_by_camera, total_utility, handovers)
-
-    def run(self) -> CameraSimResult:
-        """Run the configured number of steps and return the result."""
-        for t in range(self.config.steps):
-            self.step(float(t))
-        return CameraSimResult(records=self.records,
-                               controllers=list(self.controllers.values()),
-                               market=self.market,
-                               comm_cost_weight=self.config.comm_cost_weight)

@@ -11,8 +11,7 @@ Experiment E12.
 from .arena import Arena, Event, Hotspot
 from .robots import (RandomPatrol, Robot, SelfAwareSwarm, StaticFormation,
                      SwarmController, make_swarm)
-from .sim import (SwarmMission, SwarmMissionConfig, SwarmRunResult,
-                  SwarmStepRecord)
+from .sim import SwarmMission, SwarmRunResult, SwarmStepRecord
 from .soa import EventTable, IndexMemory, RobotArrays
 
 __all__ = [
@@ -20,6 +19,5 @@ __all__ = [
     "EventTable", "IndexMemory", "RobotArrays",
     "RandomPatrol", "Robot", "SelfAwareSwarm", "StaticFormation",
     "SwarmController", "make_swarm",
-    "SwarmMission", "SwarmMissionConfig", "SwarmRunResult",
-    "SwarmStepRecord",
+    "SwarmMission", "SwarmRunResult", "SwarmStepRecord",
 ]

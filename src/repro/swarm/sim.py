@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:
+    from ..api.configs import SwarmConfig
     from ..faults.injector import FaultInjector
 
 from ..geom import SpatialGrid
@@ -38,22 +39,6 @@ class SwarmRunResult:
         total = sum(r.events for r in self.records if t0 <= r.time < t1)
         seen = sum(r.witnessed for r in self.records if t0 <= r.time < t1)
         return seen / total if total else math.nan
-
-
-@dataclass
-class SwarmMissionConfig:
-    """Mission parameters."""
-
-    n_robots: int = 9
-    steps: int = 800
-    events_per_step: float = 3.0
-    hotspot_fraction: float = 0.7
-    n_hotspots: int = 2
-    #: Hotspots jump at these times (fractions of the run).
-    shift_fracs: Tuple[float, ...] = (0.4,)
-    #: (time fraction, robot index) pairs: robots that die mid-mission.
-    failure_fracs: Tuple[Tuple[float, int], ...] = ((0.7, 0), (0.7, 1))
-    seed: int = 0
 
 
 def _witnessed_grid(robots: List[Robot],
@@ -100,7 +85,7 @@ class SwarmMission:
     """
 
     def __init__(self, controller: SwarmController,
-                 config: SwarmMissionConfig,
+                 config: "SwarmConfig",
                  faults: Optional["FaultInjector"] = None) -> None:
         self.controller = controller
         self.config = config

@@ -24,6 +24,14 @@ SMALL = {
 }
 
 
+def _stepped(sim, k=5):
+    """``sim``'s metrics and snapshot after ``k`` more steps, as text."""
+    for _ in range(k):
+        sim.step()
+    return json.dumps([sim.metrics(), sim.snapshot()], sort_keys=True,
+                      default=repr)
+
+
 class TestRegistry:
     def test_every_substrate_registered(self):
         assert set(SIMULATORS) == set(SMALL)
@@ -101,16 +109,24 @@ class TestDeterministicReplay:
     def test_constructor_already_resets_to_the_config_seed(self, substrate):
         """The serving layer builds simulators without a further
         ``reset``: a fresh adapter must already sit at ``reset(seed)``."""
-        def stepped(sim):
-            for _ in range(5):
-                sim.step()
-            return json.dumps([sim.metrics(), sim.snapshot()],
-                              sort_keys=True, default=repr)
-
         built = make_simulator(substrate, SMALL[substrate])
         reset = make_simulator(substrate, SMALL[substrate])
         reset.reset(SMALL[substrate].seed)
-        assert stepped(built) == stepped(reset)
+        assert _stepped(built) == _stepped(reset)
+
+    @pytest.mark.parametrize("substrate", sorted(SMALL))
+    def test_reset_seed_equals_a_fresh_run_at_that_seed(self, substrate):
+        """Every adapter honours ``reset(s)`` the same way: after steps
+        at the config seed, ``reset(s)`` replays exactly what a fresh
+        adapter over ``replace(config, seed=s)`` does."""
+        config = SMALL[substrate]
+        seed = config.seed + 7
+        reset = make_simulator(substrate, config)
+        _stepped(reset, 3)
+        reset.reset(seed)
+        fresh = make_simulator(substrate, dataclasses.replace(config,
+                                                              seed=seed))
+        assert _stepped(reset) == _stepped(fresh)
 
     def test_different_seed_differs(self):
         sim = CloudSimulator(SMALL["cloud"])

@@ -120,10 +120,9 @@ class TestEndToEnd:
     def _run(self, scaler, steps=400):
         goal = make_cloud_goal()
         history = CloudSimulator(
-            CloudConfig(steps=steps), scaler=scaler, demand_fn=self._demand,
-            goal=goal,
-            cluster_kwargs=dict(capacity_per_server=10.0, boot_delay=5,
-                                max_servers=40)).run()
+            CloudConfig(steps=steps, capacity_per_server=10.0, boot_delay=5,
+                        max_servers=40),
+            scaler=scaler, demand_fn=self._demand, goal=goal).run()
         utilities = [goal.utility(m.as_dict()) for m in history]
         return sum(utilities) / len(utilities), history
 

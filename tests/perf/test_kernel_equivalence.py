@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from repro.api import SwarmConfig
 from repro.core.knowledge import History
 from repro.core.spans import Scope
 from repro.cpn.routing import OracleRouter
@@ -25,7 +26,7 @@ from repro.learning.bandits import EpsilonGreedy
 from repro.smartcamera.network import CameraNetwork
 from repro.smartcamera.objects import MovingObject
 from repro.swarm.robots import SelfAwareSwarm
-from repro.swarm.sim import SwarmMission, SwarmMissionConfig
+from repro.swarm.sim import SwarmMission
 
 from . import goldens
 
@@ -66,16 +67,17 @@ class TestCameraSimEquivalence:
         # scans, the merged utility+auction step and the list-based
         # bandits must reproduce every step record of the reference run.
         from repro.smartcamera.controller import SelfAwareStrategyController
-        from repro.smartcamera.sim import CameraSimConfig, CameraSimulation
+        from repro.api import CameraConfig
+        from repro.smartcamera.sim import CameraSimulation
 
-        config = CameraSimConfig(rows=4, cols=4, n_objects=18, steps=150,
-                                 object_speed=0.04, detection_rate=0.2,
-                                 random_placement=True, seed=3)
+        config = CameraConfig(rows=4, cols=4, n_objects=18, steps=150,
+                              object_speed=0.04, detection_rate=0.2,
+                              random_placement=True, seed=3)
         sim = CameraSimulation(
             config,
             controller_factory=lambda cid, rng: SelfAwareStrategyController(
                 cid, epsilon=0.1, rng=rng))
-        records = sim.run().records
+        records = [sim.step(float(t)) for t in range(config.steps)]
         goldens.assert_matches_path_golden(
             "camera.sim.records", [_record_dict(r) for r in records])
 
@@ -83,8 +85,8 @@ class TestCameraSimEquivalence:
 class TestSwarmFastEquivalence:
     def test_mission_records_identical(self):
         controller = SelfAwareSwarm(rng=np.random.default_rng(7))
-        config = SwarmMissionConfig(n_robots=14, steps=160,
-                                    events_per_step=4.0, seed=1)
+        config = SwarmConfig(n_robots=14, steps=160, events_per_step=4.0,
+                             seed=1)
         mission = SwarmMission(controller, config)
         records = [mission.step(float(t)) for t in range(config.steps)]
         goldens.assert_matches_path_golden(
@@ -183,9 +185,8 @@ class TestMissionTablesJSONStable:
         from repro.api import SwarmSimulator
 
         controller = SelfAwareSwarm(rng=np.random.default_rng(500))
-        config = SwarmMissionConfig(n_robots=9, steps=120, seed=0)
-        result = SwarmSimulator(mission_config=config,
-                                controller=controller).run()
+        config = SwarmConfig(n_robots=9, steps=120, seed=0)
+        result = SwarmSimulator(config, controller=controller).run()
         goldens.assert_matches_path_golden(
             "swarm.detection_rates",
             [result.detection_rate(), result.detection_rate(0.0, 48.0),

@@ -13,11 +13,12 @@ it happened.  Two axes of identity, both at JSON-byte granularity:
 
 import numpy as np
 
+from repro.api import SwarmConfig
 from repro.experiments import e12_swarm
 from repro.experiments.engine import (SuiteJob, canonical_suite_text,
                                       run_suite)
 from repro.swarm.robots import SelfAwareSwarm
-from repro.swarm.sim import SwarmMission, SwarmMissionConfig
+from repro.swarm.sim import SwarmMission
 
 from . import goldens
 
@@ -54,8 +55,8 @@ class TestSwarmShardsFastVsNaive:
     def test_scalar_soa_backend_identical_too(self):
         """The SoA mission on a denser event stream, robot positions
         included."""
-        config = SwarmMissionConfig(n_robots=9, steps=120,
-                                    events_per_step=4.0, seed=3)
+        config = SwarmConfig(n_robots=9, steps=120, events_per_step=4.0,
+                             seed=3)
         run = SwarmMission(SelfAwareSwarm(rng=np.random.default_rng(11)),
                            config)
         records = [run.step(float(t)) for t in range(120)]

@@ -202,12 +202,12 @@ class TestMigration:
             src = cluster.placements[sid]
             warm = await client.snapshot(sid)  # cache hit on the source
             assert not warm["stale"]
-            assert cluster.servers[src].sessions.snapshots.latest(sid)
+            assert cluster.servers[src].sessions.snapshots.get(sid, 5)
             dst = next(n for n in cluster.node_ids if n != src)
             await cluster.migrate(sid, dst)
             # Source cache dropped with the session; destination cold.
-            assert cluster.servers[src].sessions.snapshots.latest(sid) is None
-            assert cluster.servers[dst].sessions.snapshots.latest(sid) is None
+            assert cluster.servers[src].sessions.snapshots.get(sid, 5) is None
+            assert cluster.servers[dst].sessions.snapshots.get(sid, 5) is None
             again = await client.snapshot(sid)
             assert again["snapshot"] == warm["snapshot"]
             return again["snapshot"]

@@ -91,7 +91,7 @@ class TestDegradation:
                 tripped = decision
                 break
         assert tripped is not None, "monitor never tripped on garbage"
-        # Degraded mode: stale snapshots on, admission tightened well
+        # Degraded mode: serve_stale flagged, admission tightened well
         # below the healthy setting for the same capacity belief.
         assert tripped.serve_stale
         assert tripped.admission_rate < healthy_rate

@@ -95,10 +95,11 @@ class TestOps:
         assert response["metrics"] == direct["metrics"]
         assert response["snapshot"] == direct["snapshot"]
 
-    def test_snapshot_uses_cache_then_stale_then_step(self):
-        """``snapshot`` serves the exact-step cache entry; failing that,
-        in degraded mode, the latest older entry tagged stale; otherwise
-        it steps the simulator by zero and caches what it returns."""
+    def test_snapshot_uses_cache_then_step(self):
+        """``snapshot`` serves the session's cached current step; on a
+        miss (an older step in the slot, or none) it steps the
+        simulator by zero and caches what it returns.  Every snapshot
+        is current, so ``stale`` is always false."""
         async def body(server, client):
             created = await client.create("sensornet", steps=30,
                                           n_channels=4, seed=1)
@@ -106,18 +107,16 @@ class TestOps:
             first = (await client.step(sid, n=1))["snapshot"]
             third = (await client.step(sid, n=2))["snapshot"]
             snapshots = server.sessions.snapshots
+            batches = server.dispatcher.batches_run
             hit = await client.snapshot(sid)
-            assert hit["snapshot"] == third and not hit["stale"]
+            assert hit["snapshot"] == third and hit["stale"] is False
+            assert server.dispatcher.batches_run == batches
 
-            snapshots.drop_session(sid)
             snapshots.put(sid, 1, {"snapshot": first})
-            server.serve_stale = True
-            stale = await client.snapshot(sid)
-            assert stale["stale"] and stale["snapshot"] == first
-
-            server.serve_stale = False
+            server.serve_stale = True   # degraded or not: never stale
             fresh = await client.snapshot(sid)
-            assert not fresh["stale"] and fresh["snapshot"] == third
+            assert fresh["stale"] is False and fresh["snapshot"] == third
+            assert server.dispatcher.batches_run == batches + 1
             assert snapshots.get(sid, 3)["snapshot"] == third
 
         run(with_server(body))
@@ -137,7 +136,6 @@ class TestOps:
             assert server.dispatcher.batches_run == batches
 
             server.sessions.snapshots.drop_session(sid)
-            server.serve_stale = True   # stale serving is snapshot-only
             missed = await client.metrics(sid)
             assert missed["metrics"] == stepped["metrics"]
             assert server.dispatcher.batches_run == batches + 1
@@ -236,7 +234,7 @@ class TestSimulatorLifetime:
             assert closed["ok"]
             assert late["error"]["code"] == "unknown_session"
             assert server.sessions.simulators == {}
-            assert server.sessions.snapshots.latest(sid) is None
+            assert len(server.sessions.snapshots) == 0
 
         run(with_server(body))
 
@@ -254,7 +252,7 @@ class TestSimulatorLifetime:
             assert sid in server.sessions.simulators
             assert server.sessions.evict_expired(later) == [sid]
             assert server.sessions.simulators == {}
-            assert server.sessions.snapshots.latest(sid) is None
+            assert len(server.sessions.snapshots) == 0
 
         run(with_server(body, ttl=60.0))
 
@@ -571,8 +569,20 @@ class TestEncoding:
                 await server.stop()
             return stepped, metrics, hello
 
-        with caplog.at_level("ERROR", logger="repro.serve.server"):
-            stepped, metrics, hello = run(body())
+        bus = EventBus(enabled=True)
+        previous = set_bus(bus)
+        try:
+            with caplog.at_level("ERROR", logger="repro.serve.server"):
+                stepped, metrics, hello = run(body())
+        finally:
+            set_bus(previous)
+        # One serve.request per reply, carrying the code the client got.
+        events = bus.events("serve.request")
+        assert [(e.fields["op"], e.fields["ok"], e.fields["code"])
+                for e in events] == [("create", True, None),
+                                     ("step", False, "internal"),
+                                     ("metrics", True, None),
+                                     ("hello", True, None)]
         assert stepped["ok"] is False
         assert stepped["error"]["code"] == "internal"
         assert "not encodable" in stepped["error"]["message"]

@@ -1,4 +1,4 @@
-"""Sessions: TTL eviction, the LRU snapshot cache, and rehydration."""
+"""Sessions: TTL eviction, the per-session step cache, and rehydration."""
 
 import asyncio
 import json
@@ -30,7 +30,7 @@ class TestLifecycle:
         table.snapshots.put(session.session_id, 0, {"x": 1})
         table.close(session.session_id)
         assert len(table) == 0
-        assert table.snapshots.latest(session.session_id) is None
+        assert len(table.snapshots) == 0
         with pytest.raises(UnknownSession):
             table.close(session.session_id)
 
@@ -64,19 +64,21 @@ class TestTTLEviction:
         session = table.create(0.0, "sensornet", CONFIG)
         table.snapshots.put(session.session_id, 3, {"t": 3})
         table.evict_expired(5.0)
-        assert table.snapshots.latest(session.session_id) is None
+        assert table.snapshots.get(session.session_id, 3) is None
+        assert len(table.snapshots) == 0
 
 
 class TestSnapshotCache:
-    def test_lru_evicts_the_coldest_entry(self):
-        cache = SnapshotCache(max_entries=2)
-        cache.put("a", 1, {"s": 1})
-        cache.put("b", 1, {"s": 2})
-        cache.get("a", 1)            # refresh a; b is now coldest
-        cache.put("c", 1, {"s": 3})
-        assert cache.get("b", 1) is None
-        assert cache.get("a", 1) == {"s": 1}
-        assert cache.get("c", 1) == {"s": 3}
+    def test_one_slot_per_session_holds_its_latest_step(self):
+        cache = SnapshotCache()
+        cache.put("a", 1, {"s": "a1"})
+        cache.put("b", 1, {"s": "b1"})
+        cache.put("a", 2, {"s": "a2"})   # replaces a's step-1 result
+        assert len(cache) == 2
+        assert cache.get("a", 1) is None
+        assert cache.get("a", 2) == {"s": "a2"}
+        assert cache.get("b", 1) == {"s": "b1"}
+        assert cache.get("nope", 1) is None
 
     def test_hit_and_miss_counters(self):
         cache = SnapshotCache()
@@ -85,14 +87,6 @@ class TestSnapshotCache:
         cache.get("a", 2)
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_latest_returns_highest_step(self):
-        cache = SnapshotCache()
-        cache.put("a", 5, {"t": 5})
-        cache.put("a", 9, {"t": 9})
-        cache.put("b", 99, {"t": 99})
-        assert cache.latest("a") == (9, {"t": 9})
-        assert cache.latest("nope") is None
-
     def test_drop_session_drops_only_that_session(self):
         cache = SnapshotCache()
         for step in (1, 2, 3):
@@ -100,31 +94,9 @@ class TestSnapshotCache:
             cache.put("b", step, {"b": step})
         cache.drop_session("a")
         cache.drop_session("nope")
-        assert len(cache) == 3
-        assert cache.latest("a") is None
-        assert cache.latest("b") == (3, {"b": 3})
-        assert [cache.get("b", step) for step in (1, 2, 3)] == \
-            [{"b": 1}, {"b": 2}, {"b": 3}]
-
-    def test_eviction_order_and_latest_follow_the_lru(self):
-        cache = SnapshotCache(max_entries=3)
-        cache.put("a", 1, {"s": "a1"})
-        cache.put("a", 2, {"s": "a2"})
-        cache.put("b", 1, {"s": "b1"})
-        cache.get("a", 1)              # order now: a2, b1, a1
-        cache.put("b", 2, {"s": "b2"})  # evicts a2
-        assert cache.latest("a") == (1, {"s": "a1"})
-        cache.put("a", 2, {"s": "a2"})  # evicts b1
-        cache.put("a", 2, {"s": "a2'"})  # refresh: nothing evicted
-        cache.put("c", 1, {"s": "c1"})  # evicts a1
-        assert cache.get("a", 1) is None and cache.get("b", 1) is None
-        assert cache.latest("a") == (2, {"s": "a2'"})
-        assert cache.latest("b") == (2, {"s": "b2"})
-        cache.put("c", 2, {"s": "c2"})  # evicts b2
-        cache.put("c", 3, {"s": "c3"})  # evicts a2
-        assert cache.latest("a") is None and cache.latest("b") is None
-        assert cache.latest("c") == (3, {"s": "c3"})
-        assert len(cache) == 3
+        assert len(cache) == 1
+        assert cache.get("a", 3) is None
+        assert cache.get("b", 3) == {"b": 3}
 
 
 class TestRehydration:

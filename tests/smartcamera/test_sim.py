@@ -1,5 +1,7 @@
 """Integration tests for the smart-camera simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,27 +9,33 @@ from repro.api import CameraConfig, CameraSimulator
 from repro.smartcamera.controller import (FixedStrategyController,
                                           SelfAwareStrategyController,
                                           strategy_entropy)
-from repro.smartcamera.sim import CameraSimConfig, CameraSimulation
+from repro.smartcamera.sim import CameraSimulation
 from repro.smartcamera.strategies import ALL_STRATEGIES, Strategy
 
 
 def small_config(**kwargs):
     defaults = dict(rows=2, cols=2, n_objects=4, steps=100, seed=0)
     defaults.update(kwargs)
-    return CameraSimConfig(**defaults)
+    return CameraConfig(**defaults)
 
 
 def run_fixed(config, strategy):
     """Every camera pinned to ``strategy`` over ``config``."""
-    return CameraSimulator(CameraConfig(controller="fixed",
-                                        strategy=strategy.name),
-                           sim_config=config).run()
+    return CameraSimulator(dataclasses.replace(
+        config, controller="fixed", strategy=strategy.name)).run()
 
 
 def run_learning(config, epsilon=0.1):
     """Self-aware (learning) cameras over ``config``."""
-    return CameraSimulator(CameraConfig(epsilon=epsilon),
-                           sim_config=config).run()
+    return CameraSimulator(dataclasses.replace(
+        config, controller="self_aware", epsilon=epsilon)).run()
+
+
+def comm_weight_at(config):
+    """The price schedule a simulation over ``config`` steps under."""
+    return CameraSimulation(
+        config, lambda cid, rng: FixedStrategyController(
+            cid, Strategy.PASSIVE_SMOOTH)).comm_weight_at
 
 
 class TestSimulationMechanics:
@@ -67,8 +75,9 @@ class TestSimulationMechanics:
     def test_comm_weight_breaks_apply(self):
         config = small_config(comm_cost_weight=0.01,
                               comm_weight_breaks=[(50.0, 0.5)])
-        assert config.comm_weight_at(0.0) == 0.01
-        assert config.comm_weight_at(60.0) == 0.5
+        weight_at = comm_weight_at(config)
+        assert weight_at(0.0) == 0.01
+        assert weight_at(60.0) == 0.5
         result = run_fixed(config, Strategy.ACTIVE_BROADCAST)
         weights = {r.comm_weight for r in result.records}
         assert weights == {0.01, 0.5}
@@ -80,17 +89,19 @@ class TestSimulationMechanics:
         breaks = [(200.0, 0.9), (50.0, 0.5)]
         config = small_config(comm_cost_weight=0.01,
                               comm_weight_breaks=breaks)
-        assert config.comm_weight_at(0.0) == 0.01
-        assert config.comm_weight_at(50.0) == 0.5
-        assert config.comm_weight_at(199.9) == 0.5
-        assert config.comm_weight_at(200.0) == 0.9
-        assert config.comm_weight_at(1e9) == 0.9
+        weight_at = comm_weight_at(config)
+        assert weight_at(0.0) == 0.01
+        assert weight_at(50.0) == 0.5
+        assert weight_at(199.9) == 0.5
+        assert weight_at(200.0) == 0.9
+        assert weight_at(1e9) == 0.9
         assert breaks == [(200.0, 0.9), (50.0, 0.5)]
 
     def test_comm_weight_no_breaks_is_constant(self):
         config = small_config(comm_cost_weight=0.07)
-        assert config.comm_weight_at(0.0) == 0.07
-        assert config.comm_weight_at(1e6) == 0.07
+        weight_at = comm_weight_at(config)
+        assert weight_at(0.0) == 0.07
+        assert weight_at(1e6) == 0.07
 
     def test_detection_rate_zero_loses_objects_forever(self):
         # With no auctions (passive_smooth threshold 0 disables them) and no

@@ -16,11 +16,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import CameraConfig
 from repro.smartcamera.controller import (FixedStrategyController,
                                           SelfAwareStrategyController)
 from repro.smartcamera.network import CameraNetwork
 from repro.smartcamera.objects import MovingObject
-from repro.smartcamera.sim import CameraSimConfig, CameraSimulation
+from repro.smartcamera.sim import CameraSimulation
 from repro.smartcamera.soa import (CameraColumns, best_observer_row_scalar,
                                    possible_rows, seeing_ids_scalar)
 from repro.smartcamera.strategies import Strategy
@@ -33,7 +34,7 @@ def _config(seed, **overrides):
                   object_speed=0.035, detection_rate=0.1,
                   random_placement=True, seed=seed)
     kwargs.update(overrides)
-    return CameraSimConfig(**kwargs)
+    return CameraConfig(**kwargs)
 
 
 def _run(config, self_aware=True, steps=150):

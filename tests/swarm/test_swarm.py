@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.api import SwarmSimulator
+from repro.api import SwarmConfig, SwarmSimulator
 from repro.swarm.arena import Arena, Event, Hotspot
 from repro.swarm.robots import (RandomPatrol, Robot, SelfAwareSwarm,
                                 StaticFormation, make_swarm)
-from repro.swarm.sim import SwarmMissionConfig
 
 
 class TestArena:
@@ -130,17 +129,15 @@ class TestControllers:
 class TestMission:
     def test_run_produces_records(self):
         result = SwarmSimulator(
-            mission_config=SwarmMissionConfig(steps=100, seed=0),
+            SwarmConfig(steps=100, seed=0),
             controller=RandomPatrol(np.random.default_rng(0))).run()
         assert len(result.records) == 100
         assert 0.0 <= result.detection_rate() <= 1.0
 
     def test_failures_reduce_alive_count(self):
-        config = SwarmMissionConfig(steps=100, n_robots=5,
-                                    failure_fracs=((0.5, 0), (0.5, 1)),
-                                    seed=1)
-        result = SwarmSimulator(mission_config=config,
-                                controller=StaticFormation(5)).run()
+        config = SwarmConfig(steps=100, n_robots=5,
+                             failure_fracs=((0.5, 0), (0.5, 1)), seed=1)
+        result = SwarmSimulator(config, controller=StaticFormation(5)).run()
         assert result.records[0].alive == 5
         assert result.records[-1].alive == 3
 
@@ -153,8 +150,7 @@ class TestMission:
         ]:
             vals = []
             for seed in range(2):
-                config = SwarmMissionConfig(steps=500, seed=seed)
-                result = SwarmSimulator(mission_config=config,
+                result = SwarmSimulator(SwarmConfig(steps=500, seed=seed),
                                         controller=factory(seed)).run()
                 vals.append(result.detection_rate(0.75 * 500, 500))
             rates[name] = np.mean(vals)
