@@ -103,7 +103,7 @@ async def demo(seconds: float, clients: int, workers: int) -> dict:
           f"{stats['requests_completed']} requests, "
           f"{stats['batches_run']} batches, "
           f"admission {stats['admission']}")
-    print(f"degraded={stats['degraded']} serve_stale={stats['serve_stale']} "
+    print(f"degraded={stats['degraded']} "
           f"snapshot_cache={stats['snapshot_cache']}")
     print("\nthe governor, in its own words:")
     print(explained["explanation"])

@@ -37,6 +37,6 @@ Subpackages
 
 from . import core, learning, obs
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = ["core", "learning", "obs", "__version__"]

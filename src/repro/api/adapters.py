@@ -3,12 +3,14 @@
 Each adapter owns the substrate's one stepping loop (the removed
 ``run_*`` entry points map onto them through the migration table in
 ``DESIGN.md``) and follows one contract, kept by the shared base
-:class:`_Adapter`:
+:class:`_Adapter` for all eight substrates -- the serving ones
+included, whose models (like the camera's and the swarm's) keep no
+clock, ``reset`` or ``run`` of their own:
 
 * construction takes the substrate's frozen keyword-only ``*Config``
   -- its one parameter record -- plus keywords only for what a config
   cannot say: live objects such as a scaler, a demand function, a
-  governor, a network or a twin workload, for the rich cases
+  governor, a network or a twin replay workload, for the rich cases
   experiments need;
 * ``reset(seed)`` rebuilds the run from the config with ``seed`` in
   place of ``config.seed``, so it equals a fresh adapter over
@@ -619,54 +621,58 @@ class SensornetSimulator(_Adapter):
 # Serving layer
 
 
-class _ServingAdapter(_Adapter):
-    """What the serving-layer adapters add: the simulation keeps its own
-    clock, so the protocol calls delegate to it.  A twin replay source
-    (:class:`repro.twin.TraceWorkload`) is a live object, so it rides
-    the ``workload`` keyword rather than the config."""
-
-    def __init__(self, config: Optional[Any] = None, *,
-                 workload: Optional[Any] = None,
-                 faults: Faults = None) -> None:
-        self._workload_given = workload
-        super().__init__(config, faults=faults)
-
-    def step(self):
-        return self._sim.step()
-
-    def snapshot(self) -> Dict[str, Any]:
-        return self._sim.snapshot()
-
-    def metrics(self) -> Dict[str, float]:
-        return self._sim.metrics()
-
-    def result(self):
-        return self._sim.records
-
-
-class ServeSimulator(_ServingAdapter):
+class ServeSimulator(_Adapter):
     """The serving-layer control loop behind the protocol.
 
     The one substrate that is *about* the reproduction itself: the
     simulated system is the self-aware request-serving layer of
     :mod:`repro.serve`, with the real governor and admission controller
-    in the control seat (see :mod:`repro.serve.simulation`).
+    in the control seat (see :mod:`repro.serve.simulation`).  A twin
+    replay source (:class:`repro.twin.TraceWorkload`) is a live object,
+    so it rides the ``workload`` keyword rather than the config.
     """
 
     config_type = ServeConfig
 
+    def __init__(self, config: Optional[ServeConfig] = None, *,
+                 workload: Optional[Any] = None,
+                 faults: Faults = None) -> None:
+        self._workload_given = workload
+        super().__init__(config, faults=faults)
+
     def _build(self, config, faults) -> None:
         from ..serve.simulation import ServingSimulation
-        self._sim = ServingSimulation(config, workload=self._workload_given,
-                                      faults=faults)
+        self._sim = ServingSimulation(config, faults=faults,
+                                      workload=self._workload_given)
+
+    def _step(self, now: float):
+        return self._sim.step(now)
+
+    def snapshot(self) -> Dict[str, Any]:
+        sim = self._sim
+        return {"substrate": "serve", "time": self._t,
+                "queue_depth": len(sim.node.queue), "pool": sim.node.pool,
+                "degraded": bool(sim.governor.degraded),
+                "steps_taken": len(sim.records)}
+
+    def metrics(self) -> Dict[str, float]:
+        """Scored over the post-warmup window (see
+        :func:`~repro.serve.simulation.score_run`)."""
+        from ..serve.simulation import score_run
+        return score_run(self._sim.records, self._sim.latencies,
+                         self.config.warmup)
+
+    def result(self) -> List[Dict[str, float]]:
+        return self._sim.records
 
 
-class ClusterSimulator(_ServingAdapter):
+class ClusterSimulator(_Adapter):
     """The sharded serving cluster behind the protocol.
 
     Deterministic discrete-time model of N cooperating serving nodes
     splitting one worker budget -- collectively (gossiped self-models),
-    per-node, or statically (see :mod:`repro.serve.cluster`).
+    per-node, or statically (see :mod:`repro.serve.cluster`).  Takes a
+    twin replay ``workload`` like :class:`ServeSimulator`.
     """
 
     config_type = ClusterConfig
@@ -678,11 +684,39 @@ class ClusterSimulator(_ServingAdapter):
             raise ValueError(
                 "the cluster substrate does not take fault plans yet; "
                 "model node failure as gossip staleness instead")
-        super().__init__(config, workload=workload)
+        self._workload_given = workload
+        super().__init__(config)
 
     def _build(self, config, faults) -> None:
         from ..serve.cluster import ClusterSimulation
         self._sim = ClusterSimulation(config, workload=self._workload_given)
+
+    def _step(self, now: float):
+        return self._sim.step(now)
+
+    def snapshot(self) -> Dict[str, Any]:
+        sim = self._sim
+        return {"substrate": "cluster", "time": self._t,
+                "pools": {n: sim.nodes[n].pool for n in sim.node_ids},
+                "queues": {n: len(sim.nodes[n].queue) for n in sim.node_ids},
+                "placements": {
+                    n: sum(1 for o in sim.placements.values() if o == n)
+                    for n in sim.node_ids},
+                "migrations": sim.migrations,
+                "steps_taken": len(sim.records)}
+
+    def metrics(self) -> Dict[str, float]:
+        """Scored like the serve substrate, plus migrations and the
+        share of governor ticks taken on fresh gossip."""
+        from ..serve.simulation import score_run
+        sim = self._sim
+        return {**score_run(sim.records, sim.latencies, self.config.warmup),
+                "migrations": float(sim.migrations),
+                "collective_fraction": (sim.collective_ticks
+                                        / max(1, sim.govern_ticks))}
+
+    def result(self) -> List[Dict[str, float]]:
+        return self._sim.records
 
 
 #: Declarative registry: substrate name -> (config class, adapter class).

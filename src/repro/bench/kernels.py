@@ -122,54 +122,38 @@ def _cpn_setup(n: int = 30) -> StepRunner:
 
 
 def _multicore_setup() -> StepRunner:
+    from ..api import MulticoreConfig, MulticoreSimulator
     from ..multicore import make_multicore_goal
     from ..multicore.governor import SelfAwareGovernor
-    from ..multicore.sim import make_platform, make_workload
 
-    governor = SelfAwareGovernor(make_multicore_goal(),
-                                 rng=np.random.default_rng(4))
-    workload = make_workload(seed=4)
-    platform = make_platform()
-    metrics = None
-    t = 0.0
+    sim = MulticoreSimulator(
+        MulticoreConfig(seed=4),
+        governor=SelfAwareGovernor(make_multicore_goal(),
+                                   rng=np.random.default_rng(4)))
 
     def run(n: int) -> None:
-        nonlocal t, metrics
         for _ in range(int(n)):
-            platform.submit(workload.arrivals(t))
-            governor.manage(t, platform, metrics)
-            metrics = platform.step(t)
-            governor.feedback(metrics)
-            t += 1.0
+            sim.step()
 
     return run
 
 
 def _cloud_setup(base_rate: float = 60.0, max_servers: int = 40,
                  initial_servers: int = 4) -> StepRunner:
+    from ..api import CloudConfig, CloudSimulator
     from ..cloud.autoscaler import SelfAwareScaler, make_cloud_goal
-    from ..cloud.cluster import ServiceCluster
-    from ..envgen.workloads import RequestRateWorkload
 
-    goal = make_cloud_goal()
-    scaler = SelfAwareScaler(goal, boot_delay=5, max_servers=max_servers)
-    cluster = ServiceCluster(capacity_per_server=10.0, boot_delay=5,
-                             max_servers=max_servers,
-                             initial_servers=initial_servers)
-    workload = RequestRateWorkload(base_rate=base_rate,
-                                   seasonal_amplitude=0.5,
-                                   period=200.0, noise_std=0.05,
-                                   rng=np.random.default_rng(6))
-    metrics = None
-    t = 0.0
+    sim = CloudSimulator(
+        CloudConfig(seed=6, base_rate=base_rate, seasonal_amplitude=0.5,
+                    period=200.0, noise_std=0.05, capacity_per_server=10.0,
+                    boot_delay=5, max_servers=max_servers,
+                    initial_servers=initial_servers),
+        scaler=SelfAwareScaler(make_cloud_goal(), boot_delay=5,
+                               max_servers=max_servers))
 
     def run(n: int) -> None:
-        nonlocal t, metrics
         for _ in range(int(n)):
-            target = scaler.decide(t, metrics)
-            cluster.request_scale(target)
-            metrics = cluster.step(t, max(0.0, workload.rate(t)))
-            t += 1.0
+            sim.step()
 
     return run
 
@@ -491,13 +475,13 @@ def _scenario_render_setup(chunk: int = 256) -> StepRunner:
 
 
 def _twin_replay_setup(ticks: int = 65_536) -> StepRunner:
-    """Digital-twin replay: one ServingSimulation tick per counted step,
+    """Digital-twin replay: one serve adapter step per counted step,
     arrivals drawn from an in-memory synthetic trace instead of the
     Poisson stream.  Measures the full replay path -- workload lookup,
     admission, queue drain, governor -- i.e. what ``twin evaluate`` pays
     per candidate per tick."""
+    from ..api.adapters import ServeSimulator
     from ..api.configs import ServeConfig
-    from ..serve.simulation import ServingSimulation
     from ..twin import SCHEMA, TraceWorkload
 
     rng = np.random.default_rng([0x7717, 0])
@@ -507,14 +491,17 @@ def _twin_replay_setup(ticks: int = 65_536) -> StepRunner:
               "total_offered": int(offered.sum()), "total_ok": 0}
     records = [{"t": t, "offered": int(offered[t])} for t in range(ticks)]
     workload = TraceWorkload(header, records)
-    sim = ServingSimulation(ServeConfig(steps=ticks, seed=0),
-                            workload=workload)
+    sim = ServeSimulator(ServeConfig(steps=ticks, seed=0), workload=workload)
+    taken = 0
 
     def run(n: int) -> None:
+        nonlocal taken
         for _ in range(int(n)):
-            if sim._t >= ticks:  # trace exhausted: rewind, keep timing
+            if taken == ticks:  # trace exhausted: rewind, keep timing
                 sim.reset(0)
+                taken = 0
             sim.step()
+            taken += 1
 
     return run
 

@@ -53,9 +53,8 @@ def _rank(goodput: Dict[str, float]) -> List[str]:
 def run_shard(seed: int, steps: int = STEPS,
               scenario: str = SCENARIO) -> Dict[str, object]:
     """One seed: live sweep, record, twin replay sweep (JSON-safe)."""
-    from ..api.configs import ServeConfig
+    from ..api import ServeConfig, make_simulator
     from ..obs.export import TelemetrySession
-    from ..serve.simulation import ServingSimulation
     from ..twin import (TraceRecorder, TraceWorkload, evaluate_candidates,
                         parse_candidate)
     warmup = min(ServeConfig().warmup, steps // 5)
@@ -68,7 +67,7 @@ def run_shard(seed: int, steps: int = STEPS,
     for arm in ARMS:
         config = ServeConfig(steps=steps, seed=seed, scenario=scenario,
                              warmup=warmup, **parse_candidate(arm, "serve"))
-        sim = ServingSimulation(config)
+        sim = make_simulator("serve", config)
         if arm == ARMS[0]:
             with TelemetrySession() as session:
                 recorder.attach(session.bus)

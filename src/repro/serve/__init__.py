@@ -30,10 +30,13 @@ Modules:
   collective budget split;
 - :mod:`~repro.serve.cluster` -- ``ServeCluster`` (N in-process nodes),
   the routing ``ClusterClient``, and the deterministic
-  ``ClusterSimulation`` scored by experiment E16 (registered as the
-  ``cluster`` substrate in :data:`repro.api.SIMULATORS`);
-- :mod:`~repro.serve.simulation` -- the single-node discrete-time model
-  scored by experiment E14 (the ``serve`` substrate).
+  ``ClusterSimulation`` model that experiment E16 scores;
+- :mod:`~repro.serve.simulation` -- ``SimNode`` and the single-node
+  ``ServingSimulation`` model that experiment E14 scores.
+
+The two models have no lifecycle of their own: like every substrate
+they are stepped, reset and read through their :mod:`repro.api`
+adapters (``make_simulator("serve" | "cluster", config)``).
 
 Run a server: ``python -m repro.serve --port 8642``.
 """

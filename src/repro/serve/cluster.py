@@ -27,8 +27,9 @@ level over the result.  Three pieces:
   placed sessions, routed to N copies of the one simulated serving node
   (:class:`~repro.serve.simulation.SimNode`, the node E14 scores alone)
   under the three governor arms (``collective`` / ``per_node`` /
-  ``static``) splitting one cluster-wide worker budget.  Registered as
-  the ``"cluster"`` substrate of :mod:`repro.api`.
+  ``static``) splitting one cluster-wide worker budget.  Stepped by
+  :class:`~repro.api.adapters.ClusterSimulator`, the ``"cluster"``
+  substrate of :mod:`repro.api`.
 
 Determinism: all simulation randomness flows from
 ``default_rng([0xC105, seed])`` plus each governor's own seeded stream,
@@ -51,7 +52,7 @@ from .governor import make_governor
 from .protocol import ErrorCode, error_code
 from .ring import HashRing
 from .server import Client, InProcessClient, SimulationServer
-from .simulation import SimNode, score_run
+from .simulation import SimNode
 
 #: The governor arms that split one cluster-wide worker budget.
 CLUSTER_ARMS = ("collective", "per_node", "static")
@@ -247,73 +248,67 @@ class ClusterSimulation:
     three governor arms over a shared cluster-wide worker budget; the
     collective arm additionally rebalances sessions -- the simulated
     counterpart of handle migration -- using its *measured* per-session
-    arrival estimates, never the generator's true weights.
+    arrival estimates, never the generator's true weights.  Stepped by
+    :class:`~repro.api.adapters.ClusterSimulator`, which owns the clock,
+    ``reset`` and the ``snapshot`` / ``metrics`` reads.
     """
 
-    def __init__(self, config: Optional[ClusterConfig] = None, *,
+    def __init__(self, config: ClusterConfig, *,
                  workload: Optional[Any] = None) -> None:
-        self.config = config if config is not None else ClusterConfig()
+        if config.traffic not in ("skewed", "flash", "uniform"):
+            raise ValueError(f"unknown traffic tier {config.traffic!r}")
+        if config.worker_budget < config.nodes:
+            raise ValueError("worker_budget must cover >= 1 worker per node")
+        self.config = config
         #: Replay source (:class:`repro.twin.TraceWorkload`): recorded
         #: per-session counts replace the Poisson/multinomial draws.
         self.workload = workload
-        if self.config.traffic not in ("skewed", "flash", "uniform"):
-            raise ValueError(f"unknown traffic tier {self.config.traffic!r}")
-        if self.config.worker_budget < self.config.nodes:
-            raise ValueError("worker_budget must cover >= 1 worker per node")
-        self.reset(self.config.seed)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _fair_share(self) -> int:
-        cfg = self.config
-        return max(cfg.min_workers, cfg.worker_budget // cfg.nodes)
-
-    def reset(self, seed: Optional[int] = None) -> "ClusterSimulation":
-        cfg = self.config
-        seed = cfg.seed if seed is None else seed
+        seed = config.seed
         self.rng = np.random.default_rng([0xC105, seed])
         # Traffic tiers are Scenario session mixes; the expressions are
         # byte-identical to the generators this class used to inline
         # (pinned by tests/serve/test_traffic_identity.py).
-        if cfg.traffic == "skewed":
-            self._mix: Any = ZipfMix(s=cfg.zipf_s)
-        elif cfg.traffic == "flash":
-            self._mix = FlashMix(at=float(cfg.flash_at),
-                                 length=float(cfg.flash_len),
-                                 factor=cfg.flash_factor,
-                                 sessions=cfg.flash_sessions)
+        if config.traffic == "skewed":
+            self._mix: Any = ZipfMix(s=config.zipf_s)
+        elif config.traffic == "flash":
+            self._mix = FlashMix(at=float(config.flash_at),
+                                 length=float(config.flash_len),
+                                 factor=config.flash_factor,
+                                 sessions=config.flash_sessions)
         else:
             self._mix = UniformMix()
         self._scenario_track = None
-        if cfg.scenario:
+        if config.scenario:
             from ..envgen.scenario import make_scenario
-            scenario = make_scenario(cfg.scenario)
-            self._scenario_track = scenario.render(cfg.steps, seed=seed)
+            scenario = make_scenario(config.scenario)
+            self._scenario_track = scenario.render(config.steps, seed=seed)
             mix = scenario.session_mix()
             if mix is not None:
                 self._mix = mix
-        self.node_ids = [f"n{i}" for i in range(cfg.nodes)]
-        self.ring = HashRing(self.node_ids, replicas=cfg.ring_replicas)
-        self.session_ids = [f"sess{j:03d}" for j in range(cfg.sessions)]
+        self.node_ids = [f"n{i}" for i in range(config.nodes)]
+        self.ring = HashRing(self.node_ids, replicas=config.ring_replicas)
+        self.session_ids = [f"sess{j:03d}" for j in range(config.sessions)]
         self.placements: Dict[str, str] = {
             sid: self.ring.owner(sid) for sid in self.session_ids}
-        self.board = GossipBoard(ttl=cfg.gossip_ttl)
+        self.board = GossipBoard(ttl=config.gossip_ttl)
         fair = self._fair_share()
-        self._all_latencies: List[List[float]] = []
+        #: Every completion as ``[completion_tick, latency]``, all nodes.
+        self.latencies: List[List[float]] = []
         self.nodes: Dict[str, SimNode] = {}
         for i, node_id in enumerate(self.node_ids):
             governor = make_governor(
-                cfg.governor, CLUSTER_ARMS, pool_size=fair, max_workers=fair,
-                min_workers=cfg.min_workers, slo_p95=cfg.slo_p95,
-                service_rate_guess=cfg.per_worker_rate, seed=seed * 31 + i,
-                admit_headroom=cfg.admit_headroom, epsilon=cfg.epsilon,
-                worker_budget=cfg.worker_budget, board=self.board,
-                node_id=node_id,
+                config.governor, CLUSTER_ARMS, pool_size=fair,
+                max_workers=fair, min_workers=config.min_workers,
+                slo_p95=config.slo_p95,
+                service_rate_guess=config.per_worker_rate,
+                seed=seed * 31 + i, admit_headroom=config.admit_headroom,
+                epsilon=config.epsilon, worker_budget=config.worker_budget,
+                board=self.board, node_id=node_id,
                 sessions_fn=lambda n=node_id: sum(
                     1 for owner in self.placements.values() if owner == n))
             self.nodes[node_id] = SimNode(
-                governor, fair, cfg, self.rng, self._all_latencies,
-                min_pool=cfg.min_workers)
+                governor, fair, config, self.rng, self.latencies,
+                min_pool=config.min_workers)
         #: Measured per-session arrival EWMA (requests/tick) -- what the
         #: rebalancer acts on; the generator's true weights stay hidden.
         self._sess_rate: Dict[str, float] = {
@@ -323,10 +318,13 @@ class ClusterSimulation:
         self._frozen: Dict[str, float] = {}
         self.records: List[Dict[str, float]] = []
         self.migrations = 0
-        self._govern_ticks = 0
-        self._collective_ticks = 0
-        self._t = 0.0
-        return self
+        #: Governor ticks taken, and those decided on fresh gossip.
+        self.govern_ticks = 0
+        self.collective_ticks = 0
+
+    def _fair_share(self) -> int:
+        cfg = self.config
+        return max(cfg.min_workers, cfg.worker_budget // cfg.nodes)
 
     # -- traffic -----------------------------------------------------------
 
@@ -335,9 +333,8 @@ class ClusterSimulation:
 
     # -- one tick ----------------------------------------------------------
 
-    def step(self) -> Dict[str, float]:
+    def step(self, t: float) -> Dict[str, float]:
         cfg = self.config
-        t = self._t
 
         # Ordered scale-ups come online; the collective arm grants them
         # within the shared budget.
@@ -390,9 +387,9 @@ class ClusterSimulation:
         if int(t) % cfg.govern_every == 0:
             for node in self.nodes.values():
                 node.govern(t, node.readings(node.pool))
-                self._govern_ticks += 1
+                self.govern_ticks += 1
                 if getattr(node.governor, "collective", False):
-                    self._collective_ticks += 1
+                    self.collective_ticks += 1
 
         # Rebalance: migrate a session off a hot node (collective only).
         if (cfg.governor == "collective" and cfg.rebalance and t > 0
@@ -416,7 +413,6 @@ class ClusterSimulation:
                             completions=completions_total,
                             queue=queue_total, pool=record["pool"],
                             by_session=by_session)
-        self._t += 1.0
         return record
 
     def _rebalance(self, t: float) -> None:
@@ -462,31 +458,3 @@ class ClusterSimulation:
                             src=hot, dst=dst,
                             rate=self._sess_rate[moving],
                             overload=overload)
-
-    # -- protocol ----------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"substrate": "cluster", "time": self._t,
-                "pools": {n: self.nodes[n].pool for n in self.node_ids},
-                "queues": {n: len(self.nodes[n].queue)
-                           for n in self.node_ids},
-                "placements": {
-                    n: sum(1 for o in self.placements.values() if o == n)
-                    for n in self.node_ids},
-                "migrations": self.migrations,
-                "steps_taken": len(self.records)}
-
-    def metrics(self) -> Dict[str, float]:
-        """Scored like the E14 substrate (see
-        :func:`~repro.serve.simulation.score_run`), plus migrations and
-        the share of governor ticks taken on fresh gossip."""
-        return {**score_run(self.records, self._all_latencies,
-                            self.config.warmup),
-                "migrations": float(self.migrations),
-                "collective_fraction": (self._collective_ticks
-                                        / max(1, self._govern_ticks))}
-
-    def run(self) -> List[Dict[str, float]]:
-        for _ in range(self.config.steps):
-            self.step()
-        return self.records

@@ -27,12 +27,12 @@ Meta-self-awareness   :class:`~repro.faults.degrade.DegradationMonitor`
                       watching the self-model's confidence; while
                       degraded the governor holds the last good pool
                       size, tightens admission and flags it
-                      (``serve_stale``, reported by ``stats``)
+                      (``degraded``, reported by ``stats``)
 ===================  ======================================================
 
 Sans-io and deterministic under a seed: the same governor instance runs
 against the asyncio server's wall clock and inside the discrete-time
-:class:`~repro.serve.simulation.ServingSimulation` that E14 scores.
+:class:`~repro.serve.simulation.SimNode` that E14 and E16 score.
 """
 
 from __future__ import annotations
@@ -225,7 +225,6 @@ class GovernorDecision:
     admission_rate: float
     admission_burst: float
     max_queue: float
-    serve_stale: bool
     degraded: bool
     reason: str
 
@@ -365,7 +364,6 @@ class ServeGovernor:
                 admission_rate=rate,
                 admission_burst=burst,
                 max_queue=max_queue,
-                serve_stale=degraded,
                 degraded=degraded,
                 reason=result.decision.reason,
             )
@@ -438,7 +436,7 @@ class StaticGovernor:
         self._decision = GovernorDecision(
             pool_target=pool_size, admission_rate=rate,
             admission_burst=burst, max_queue=max_queue,
-            serve_stale=False, degraded=False,
+            degraded=False,
             reason="static design-time configuration")
         self._pool = pool_size
 

@@ -136,7 +136,6 @@ class SimulationServer:
                                              burst=cfg.admission_burst,
                                              max_queue=cfg.max_queue)
         self.govern_interval = cfg.govern_interval
-        self.serve_stale = False
         self.governor: Optional[Any] = (
             governor if governor is not None else make_governor(
                 cfg.governor, ("self_aware", "static", "none"),
@@ -614,7 +613,6 @@ class SimulationServer:
             })
             self._window_requests = 0
             self._window_completions = 0
-            self.serve_stale = decision.serve_stale
             self.admission.configure(now, rate=decision.admission_rate,
                                      burst=decision.admission_burst,
                                      max_queue=decision.max_queue)
@@ -645,7 +643,6 @@ class SimulationServer:
             "batches_run": self.dispatcher.batches_run,
             "degraded": (bool(self.governor.degraded)
                          if self.governor is not None else False),
-            "serve_stale": self.serve_stale,
             "admission": self.admission.snapshot(),
             "snapshot_cache": {"entries": len(self.sessions.snapshots),
                                "hits": self.sessions.snapshots.hits,

@@ -10,7 +10,11 @@ queue of exponential service demands, a worker pool that drains a fixed
 work budget per tick (with a boot delay on scale-up), and a governor
 from :func:`~repro.serve.governor.make_governor` in the control seat.
 :class:`ServingSimulation` drives one node under Poisson arrivals;
-:class:`~repro.serve.cluster.ClusterSimulation` drives N of them.
+:class:`~repro.serve.cluster.ClusterSimulation` drives N of them.  Both
+are models in the shape of every other substrate: each takes its config
+and a ``step(now)``, while the ``serve`` / ``cluster`` adapters of
+:mod:`repro.api.adapters` own the clock, ``reset``, ``run`` and the
+``snapshot`` / ``metrics`` reads.
 Nothing is mocked: the admission and governor objects are exactly the
 ones the live server uses, which is the point -- E14's claims transfer
 to the server because the control plane is shared, only the data plane
@@ -206,49 +210,44 @@ def score_run(records: Sequence[Dict[str, float]],
 
 
 class ServingSimulation:
-    """The serving control loop over a simulated request stream."""
+    """The serving control loop over a simulated request stream: one
+    :class:`SimNode` under Poisson arrivals, stepped by
+    :class:`~repro.api.adapters.ServeSimulator`.
 
-    def __init__(self, config: Optional[ServeConfig] = None, *,
+    ``faults`` is the run's injector; explicit faults always win over a
+    scenario-armed plan.  ``workload`` is a replay source
+    (:class:`repro.twin.TraceWorkload`): recorded arrival counts replace
+    the Poisson draws tick-for-tick.
+    """
+
+    def __init__(self, config: ServeConfig, *,
                  faults: Optional[FaultInjector] = None,
                  workload: Optional[Any] = None) -> None:
-        self.config = config if config is not None else ServeConfig()
-        #: Explicit faults always win over a scenario-armed plan.
-        self._faults_given = faults
-        #: Replay source (:class:`repro.twin.TraceWorkload`): recorded
-        #: arrival counts replace the Poisson draws tick-for-tick.
-        self.workload = workload
-        self.reset(self.config.seed)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def reset(self, seed: Optional[int] = None) -> "ServingSimulation":
-        cfg = self.config
-        seed = cfg.seed if seed is None else seed
+        self.config = config
+        seed = config.seed
         self.rng = np.random.default_rng([0x5E4E, seed])
-        self.faults = self._faults_given
+        self.faults = faults
+        self.workload = workload
         self._scenario_track = None
-        if cfg.scenario:
+        if config.scenario:
             from ..envgen.scenario import make_scenario
-            track = make_scenario(cfg.scenario).render(cfg.steps, seed=seed)
+            track = make_scenario(config.scenario).render(config.steps,
+                                                          seed=seed)
             self._scenario_track = track
-            if track.plan is not None and self._faults_given is None:
+            if track.plan is not None and faults is None:
                 self.faults = make_injector(track.plan, run_seed=seed)
         self.governor = make_governor(
-            cfg.governor, ("self_aware", "static"),
-            pool_size=cfg.static_workers, max_workers=cfg.max_workers,
-            min_workers=cfg.min_workers, slo_p95=cfg.slo_p95,
-            service_rate_guess=cfg.per_worker_rate, seed=seed,
-            admit_headroom=cfg.admit_headroom, epsilon=cfg.epsilon)
-        #: Every completion as ``(completion_tick, latency)``; metrics()
-        #: scores the post-warmup slice of this exactly.
-        self._all_latencies: List[List[float]] = []
-        self.node = SimNode(self.governor, self.governor.pool_target, cfg,
-                            self.rng, self._all_latencies, min_pool=1)
+            config.governor, ("self_aware", "static"),
+            pool_size=config.static_workers, max_workers=config.max_workers,
+            min_workers=config.min_workers, slo_p95=config.slo_p95,
+            service_rate_guess=config.per_worker_rate, seed=seed,
+            admit_headroom=config.admit_headroom, epsilon=config.epsilon)
+        #: Every completion as ``[completion_tick, latency]``; the
+        #: adapter's metrics() scores the post-warmup slice of this.
+        self.latencies: List[List[float]] = []
+        self.node = SimNode(self.governor, self.governor.pool_target, config,
+                            self.rng, self.latencies, min_pool=1)
         self.records: List[Dict[str, float]] = []
-        self._t = 0.0
-        return self
-
-    # -- one tick ----------------------------------------------------------
 
     def _effective_pool(self) -> int:
         """Workers actually serving: booted pool minus crashed cohort."""
@@ -259,10 +258,9 @@ class ServingSimulation:
         crashed = self.faults.crashed_targets(population)
         return sum(1 for w in range(pool) if w not in crashed)
 
-    def step(self) -> Dict[str, float]:
+    def step(self, t: float) -> Dict[str, float]:
         cfg = self.config
         node = self.node
-        t = self._t
         if self.faults is not None:
             self.faults.begin_step(t)
 
@@ -312,7 +310,7 @@ class ServingSimulation:
         if obs_events.enabled():
             obs_metrics.counter("serve.requests").increment(offered)
             latency_hist = obs_metrics.histogram("serve.latency")
-            for _, latency in self._all_latencies[-completions:] \
+            for _, latency in self.latencies[-completions:] \
                     if completions else []:
                 latency_hist.observe(latency)
             obs_metrics.histogram("serve.queue_depth").observe(
@@ -321,23 +319,4 @@ class ServingSimulation:
                             admitted=admitted, shed=shed,
                             completions=completions, queue=len(node.queue),
                             pool=node.pool)
-        self._t += 1.0
         return record
-
-    # -- protocol ----------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"substrate": "serve", "time": self._t,
-                "queue_depth": len(self.node.queue), "pool": self.node.pool,
-                "degraded": bool(self.governor.degraded),
-                "steps_taken": len(self.records)}
-
-    def metrics(self) -> Dict[str, float]:
-        """Scored over the post-warmup window (see :func:`score_run`)."""
-        return score_run(self.records, self._all_latencies,
-                         self.config.warmup)
-
-    def run(self) -> List[Dict[str, float]]:
-        for _ in range(self.config.steps):
-            self.step()
-        return self.records

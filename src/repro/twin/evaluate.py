@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..api.adapters import make_simulator
 from ..api.configs import ClusterConfig, ServeConfig
 from .trace import TraceWorkload
 
@@ -83,15 +84,13 @@ def parse_candidate(spec: str, substrate: str) -> Dict[str, Any]:
 def _build_simulation(workload: TraceWorkload, overrides: Dict[str, Any],
                       *, seed: int, steps: int,
                       config_kwargs: Dict[str, Any]) -> Any:
-    from ..serve.cluster import ClusterSimulation
-    from ..serve.simulation import ServingSimulation
-    merged = dict(config_kwargs)
-    merged.update(overrides)
     if workload.substrate == "cluster":
-        config = ClusterConfig(steps=steps, seed=seed, **merged)
-        return ClusterSimulation(config, workload=workload)
-    config = ServeConfig(steps=steps, seed=seed, **merged)
-    return ServingSimulation(config, workload=workload)
+        substrate, config_cls = "cluster", ClusterConfig
+    else:
+        substrate, config_cls = "serve", ServeConfig
+    config = config_cls(steps=steps, seed=seed,
+                        **{**config_kwargs, **overrides})
+    return make_simulator(substrate, config, workload=workload)
 
 
 def evaluate_candidates(workload: TraceWorkload,

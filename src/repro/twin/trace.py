@@ -13,11 +13,13 @@ Two halves of one contract:
   fixed-width ticks.
 
 * :class:`TraceWorkload` loads a recorded trace back and replays it
-  tick-for-tick inside :class:`~repro.serve.simulation.ServingSimulation`
-  or :class:`~repro.serve.cluster.ClusterSimulation`: recorded arrival
-  counts replace the Poisson/multinomial draws, so the same trace and
-  seed replay byte-identically -- and a governor candidate can be scored
-  against yesterday's real traffic before deployment.
+  tick-for-tick inside the ``serve`` or ``cluster`` substrate, passed
+  as the adapter's ``workload`` keyword
+  (``make_simulator("serve", config, workload=trace)``): recorded
+  arrival counts replace the Poisson/multinomial draws, so the same
+  trace and seed replay byte-identically, across ``reset`` too -- and a
+  governor candidate can be scored against yesterday's real traffic
+  before deployment.
 
 Traces are versioned JSON Lines: a header line stamped
 ``{"schema": "repro.twin/v1", ...}`` followed by one record per tick

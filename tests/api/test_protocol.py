@@ -10,6 +10,7 @@ from repro.api import (SIMULATORS, CameraConfig, CameraSimulator,
                        CPNConfig, MulticoreConfig, SensornetConfig,
                        SensornetSimulator, ServeConfig, Simulator,
                        SwarmConfig, SwarmSimulator, make_simulator)
+from repro.twin import SCHEMA, TraceWorkload
 
 SMALL = {
     "smartcamera": CameraConfig(steps=30, n_objects=4, seed=2),
@@ -22,6 +23,20 @@ SMALL = {
     "cluster": ClusterConfig(steps=60, warmup=10, nodes=2, sessions=6,
                              worker_budget=4, offered_load=10.0, seed=2),
 }
+
+
+def _trace(substrate, ticks=20):
+    """A twin replay source for ``serve`` / ``cluster``: a live object,
+    so the adapter reuses it across resets."""
+    header = {"schema": SCHEMA, "substrate": substrate, "ticks": ticks,
+              "sessions": ["s0", "s1", "s2"]}
+    records = []
+    for t in range(ticks):
+        offered = (7 * t) % 13
+        records.append({"t": t, "offered": offered,
+                        "by_session": {"s0": offered // 3,
+                                       "s2": offered - offered // 3}})
+    return TraceWorkload(header, records)
 
 
 def _stepped(sim, k=5):
@@ -114,18 +129,23 @@ class TestDeterministicReplay:
         reset.reset(SMALL[substrate].seed)
         assert _stepped(built) == _stepped(reset)
 
-    @pytest.mark.parametrize("substrate", sorted(SMALL))
+    @pytest.mark.parametrize(
+        "substrate", sorted(SMALL) + ["serve-trace", "cluster-trace"])
     def test_reset_seed_equals_a_fresh_run_at_that_seed(self, substrate):
         """Every adapter honours ``reset(s)`` the same way: after steps
         at the config seed, ``reset(s)`` replays exactly what a fresh
-        adapter over ``replace(config, seed=s)`` does."""
+        adapter over ``replace(config, seed=s)`` does -- also when a
+        serving adapter replays one trace object across the reset."""
+        substrate, _, replay = substrate.partition("-")
+        live = {"workload": _trace(substrate)} if replay else {}
         config = SMALL[substrate]
         seed = config.seed + 7
-        reset = make_simulator(substrate, config)
+        reset = make_simulator(substrate, config, **live)
         _stepped(reset, 3)
         reset.reset(seed)
         fresh = make_simulator(substrate, dataclasses.replace(config,
-                                                              seed=seed))
+                                                              seed=seed),
+                               **live)
         assert _stepped(reset) == _stepped(fresh)
 
     def test_different_seed_differs(self):

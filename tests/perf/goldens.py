@@ -63,10 +63,10 @@ def record_path_goldens(payloads):
 
 
 def serving_state(sim):
-    """A serving or cluster simulation's records, scores and RNG position."""
-    return {"records": sim.records, "metrics": sim.metrics(),
+    """A serve or cluster adapter's records, scores and RNG position."""
+    return {"records": sim._sim.records, "metrics": sim.metrics(),
             "snapshot": sim.snapshot(),
-            "rng": sim.rng.bit_generator.state}
+            "rng": sim._sim.rng.bit_generator.state}
 
 
 def camera_state(sim):

@@ -109,6 +109,26 @@ class TestKernelRegistry:
         assert [s.name for s in subset] == ["camera.step.large",
                                             "cpn.step"]
 
+    def test_twin_replay_rewinds_its_adapter_through_reset(self,
+                                                           monkeypatch):
+        """Past the end of its trace the ``twin.replay`` kernel rewinds
+        the serve adapter with ``reset(0)`` and keeps stepping."""
+        from repro.api import adapters
+        from repro.bench.kernels import _twin_replay_setup
+
+        built = []
+
+        class Recorded(adapters.ServeSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(adapters, "ServeSimulator", Recorded)
+        run = _twin_replay_setup(ticks=8)
+        run(20)
+        (sim,) = built
+        assert sim.snapshot()["steps_taken"] == 4
+
 
 class TestParsePercent:
     def test_percent_and_fraction(self):

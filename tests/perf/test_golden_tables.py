@@ -16,8 +16,9 @@ import json
 import pytest
 
 from repro.api import (CameraConfig, CameraSimulator, ClusterConfig,
-                       SensornetConfig, SensornetSimulator, ServeConfig,
-                       SwarmConfig, SwarmSimulator)
+                       ClusterSimulator, SensornetConfig, SensornetSimulator,
+                       ServeConfig, ServeSimulator, SwarmConfig,
+                       SwarmSimulator)
 from repro.experiments import (ablations, e1_levels, e2_camera, e6_cpn,
                                e7_attention, e12_swarm, e13_resilience,
                                e14_serving, e16_cluster)
@@ -26,8 +27,6 @@ from repro.faults.plan import (CLOCK_SKEW, CRASH, FAULT_KINDS,
                                SENSOR_DROPOUT, SENSOR_NOISE, WORKLOAD_SPIKE,
                                FaultPlan, FaultSpec)
 from repro.obs.export import TelemetrySession
-from repro.serve.cluster import ClusterSimulation
-from repro.serve.simulation import ServingSimulation
 from repro.twin import TraceRecorder, TraceWorkload
 
 from . import goldens
@@ -216,7 +215,7 @@ SERVE_RUNS = {
 def test_serve_run_matches_golden(case):
     goldens.assert_matches_path_golden(
         f"serve.{case}",
-        _serving_payload(ServingSimulation(_serve_config(**SERVE_RUNS[case]))))
+        _serving_payload(ServeSimulator(_serve_config(**SERVE_RUNS[case]))))
 
 
 SERVE_FAULTS = (CRASH, SENSOR_NOISE, WORKLOAD_SPIKE)
@@ -225,7 +224,7 @@ SERVE_FAULTS = (CRASH, SENSOR_NOISE, WORKLOAD_SPIKE)
 def _serve_fault_payload(kind):
     injector = FaultInjector(_plan(kind, 0.5, 60.0, 180.0, 9), run_seed=1)
     return _serving_payload(
-        ServingSimulation(_serve_config(), faults=injector), injector)
+        ServeSimulator(_serve_config(), faults=injector), injector)
 
 
 @pytest.mark.parametrize("kind", SERVE_FAULTS)
@@ -236,7 +235,7 @@ def test_serve_fault_run_matches_golden(kind):
 
 def test_serve_replay_matches_golden():
     goldens.assert_matches_path_golden("serve.replay", _replay_payload(
-        ServingSimulation, _serve_config(), _serve_config(seed=7)))
+        ServeSimulator, _serve_config(), _serve_config(seed=7)))
 
 
 CLUSTER_RUNS = [(arm, traffic) for arm in ("collective", "per_node", "static")
@@ -245,14 +244,14 @@ CLUSTER_RUNS = [(arm, traffic) for arm in ("collective", "per_node", "static")
 
 @pytest.mark.parametrize("arm,traffic", CLUSTER_RUNS)
 def test_cluster_run_matches_golden(arm, traffic):
-    sim = ClusterSimulation(_cluster_config(governor=arm, traffic=traffic))
+    sim = ClusterSimulator(_cluster_config(governor=arm, traffic=traffic))
     goldens.assert_matches_path_golden(f"cluster.{arm}.{traffic}",
                                        _serving_payload(sim))
 
 
 def test_cluster_replay_matches_golden():
     goldens.assert_matches_path_golden("cluster.replay", _replay_payload(
-        ClusterSimulation, _cluster_config(traffic="flash"),
+        ClusterSimulator, _cluster_config(traffic="flash"),
         _cluster_config(traffic="flash", seed=5)))
 
 
@@ -266,6 +265,6 @@ def test_fault_runs_differ_from_clean_runs():
         faulted = _sensornet_fault_payload("salience", kind, 0.7, 0, 4)
         clean = _sensornet_fault_payload("salience", kind, 0.0, 0, 4)
         assert faulted["records"] != clean["records"], kind
-    clean = _serving_payload(ServingSimulation(_serve_config()))
+    clean = _serving_payload(ServeSimulator(_serve_config()))
     for kind in SERVE_FAULTS:
         assert _serve_fault_payload(kind)["records"] != clean["records"], kind

@@ -13,8 +13,8 @@ from collections import Counter
 
 import pytest
 
-from repro.api import SensornetConfig, make_simulator
-from repro.serve import (ClusterSimulation, ServeCluster, ServerConfig)
+from repro.api import ClusterSimulator, SensornetConfig, make_simulator
+from repro.serve import ServeCluster, ServerConfig
 from repro.serve.cluster import ClusterClient
 from repro.serve.protocol import error_code
 from repro.api.configs import ClusterConfig
@@ -340,27 +340,27 @@ class TestCollectiveCluster:
 class TestClusterSimulation:
     def test_byte_identical_replay(self):
         config = ClusterConfig(steps=120, warmup=20, seed=11)
-        a = ClusterSimulation(config)
+        a = ClusterSimulator(config)
         a.run()
-        b = ClusterSimulation(config)
+        b = ClusterSimulator(config)
         b.run()
-        assert a.records == b.records
+        assert a.result() == b.result()
         assert a.metrics() == b.metrics()
 
     def test_reset_restores_the_initial_state(self):
-        sim = ClusterSimulation(ClusterConfig(steps=60, warmup=10, seed=5))
+        sim = ClusterSimulator(ClusterConfig(steps=60, warmup=10, seed=5))
         first = sim.run()
         sim.reset(5)
-        assert sim.records == []
+        assert sim.result() == []
         assert sim.run() == first
 
     def test_ring_places_sessions_unevenly_under_skew(self):
-        sim = ClusterSimulation(ClusterConfig(seed=0))
+        sim = ClusterSimulator(ClusterConfig(seed=0))
         counts = sim.snapshot()["placements"]
         assert sum(counts.values()) == sim.config.sessions
 
     def test_collective_arm_gossips_and_rebalances(self):
-        sim = ClusterSimulation(ClusterConfig(
+        sim = ClusterSimulator(ClusterConfig(
             governor="collective", traffic="flash", steps=250, seed=1))
         sim.run()
         m = sim.metrics()
@@ -368,28 +368,29 @@ class TestClusterSimulation:
         # before its peers sees a one-view board); after that the board
         # stays fresh and every decision is collective.
         assert m["collective_fraction"] >= 0.9
-        assert sim.board.published > 0
-        assert sim.migrations >= 1  # flash co-location forces a move
+        assert sim._sim.board.published > 0
+        # Flash co-location forces a move.
+        assert sim.snapshot()["migrations"] >= 1
 
     def test_an_overloaded_one_node_cluster_has_nowhere_to_rebalance(self):
-        sim = ClusterSimulation(ClusterConfig(
+        sim = ClusterSimulator(ClusterConfig(
             nodes=1, sessions=2, worker_budget=3, steps=30, warmup=0,
             seed=0))
         sim.run()
-        assert sim.migrations == 0
+        assert sim.snapshot()["migrations"] == 0
 
     def test_per_node_and_static_arms_never_gossip(self):
         for arm in ("per_node", "static"):
-            sim = ClusterSimulation(ClusterConfig(
+            sim = ClusterSimulator(ClusterConfig(
                 governor=arm, steps=80, warmup=10, seed=2))
             sim.run()
-            assert sim.board.published == 0
-            assert sim.migrations == 0
+            assert sim._sim.board.published == 0
+            assert sim.snapshot()["migrations"] == 0
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match="governor"):
-            ClusterSimulation(ClusterConfig(governor="vibes"))
+            ClusterSimulator(ClusterConfig(governor="vibes"))
         with pytest.raises(ValueError, match="traffic"):
-            ClusterSimulation(ClusterConfig(traffic="tsunami"))
+            ClusterSimulator(ClusterConfig(traffic="tsunami"))
         with pytest.raises(ValueError, match="worker_budget"):
-            ClusterSimulation(ClusterConfig(nodes=8, worker_budget=4))
+            ClusterSimulator(ClusterConfig(nodes=8, worker_budget=4))

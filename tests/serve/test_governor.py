@@ -91,9 +91,8 @@ class TestDegradation:
                 tripped = decision
                 break
         assert tripped is not None, "monitor never tripped on garbage"
-        # Degraded mode: serve_stale flagged, admission tightened well
-        # below the healthy setting for the same capacity belief.
-        assert tripped.serve_stale
+        # Degraded mode: admission tightened well below the healthy
+        # setting for the same capacity belief.
         assert tripped.admission_rate < healthy_rate
         assert governor.degraded
 
@@ -101,7 +100,7 @@ class TestDegradation:
         governor = make_governor()
         for t in range(30):
             decision = self._pressure(governor, t)
-        assert not decision.degraded and not decision.serve_stale
+        assert not decision.degraded
 
     def test_wall_clock_units_never_degrade_a_lightly_loaded_server(self):
         """The server's default configuration: SLO and p95 in *seconds*,
@@ -117,7 +116,7 @@ class TestDegradation:
             decision = governor.tick(float(t), stats(
                 queue=0.0, arrival=20.0, p95=0.004, util=0.1,
                 pool=float(governor.pool_target), completions=20.0))
-        assert not decision.degraded and not decision.serve_stale
+        assert not decision.degraded
         assert governor.monitor.last_confidence > governor.monitor.threshold
         # The SLO constraint is satisfiable: a single worker's predicted
         # sojourn at this load sits well inside a 250 ms budget.

@@ -2,8 +2,7 @@
 
 import json
 
-from repro.api import ServeConfig, make_simulator
-from repro.serve import ServingSimulation
+from repro.api import ServeConfig, ServeSimulator, make_simulator
 
 
 def small(**overrides):
@@ -14,26 +13,26 @@ def small(**overrides):
 
 class TestDeterminism:
     def test_same_config_replays_byte_identically(self):
-        a = ServingSimulation(small())
-        b = ServingSimulation(small())
+        a = ServeSimulator(small())
+        b = ServeSimulator(small())
         a.run()
         b.run()
-        assert json.dumps(a.records) == json.dumps(b.records)
+        assert json.dumps(a.result()) == json.dumps(b.result())
         assert json.dumps(a.metrics()) == json.dumps(b.metrics())
 
     def test_reset_replays_in_place(self):
-        sim = ServingSimulation(small())
+        sim = ServeSimulator(small())
         first = (json.dumps(sim.run()), json.dumps(sim.metrics()))
         sim.reset(3)
         second = (json.dumps(sim.run()), json.dumps(sim.metrics()))
         assert first == second
 
     def test_seeds_differ(self):
-        a = ServingSimulation(small(seed=1))
-        b = ServingSimulation(small(seed=2))
+        a = ServeSimulator(small(seed=1))
+        b = ServeSimulator(small(seed=2))
         a.run()
         b.run()
-        assert a.records != b.records
+        assert a.result() != b.result()
 
 
 class TestShapes:
@@ -47,7 +46,7 @@ class TestShapes:
         assert {"queue_depth", "pool", "degraded"} <= set(snap)
 
     def test_metrics_keys_and_bounds(self):
-        sim = ServingSimulation(small())
+        sim = ServeSimulator(small())
         sim.run()
         metrics = sim.metrics()
         assert set(metrics) == {"goodput", "p95_latency", "shed_fraction",
@@ -58,7 +57,7 @@ class TestShapes:
         assert metrics["mean_pool"] >= 1.0
 
     def test_record_accounting_balances(self):
-        sim = ServingSimulation(small())
+        sim = ServeSimulator(small())
         for record in sim.run():
             assert record["offered"] == record["admitted"] + record["shed"]
             assert record["good"] <= record["completions"]
@@ -72,24 +71,24 @@ class TestControl:
         SLO-met work per tick."""
         results = {}
         for arm in ("static", "self_aware"):
-            sim = ServingSimulation(small(governor=arm))
+            sim = ServeSimulator(small(governor=arm))
             sim.run()
             results[arm] = sim.metrics()
         assert (results["self_aware"]["goodput"]
                 > 1.2 * results["static"]["goodput"])
 
     def test_static_arm_never_scales(self):
-        sim = ServingSimulation(small(governor="static", static_workers=2))
+        sim = ServeSimulator(small(governor="static", static_workers=2))
         assert all(r["pool"] == 2.0 for r in sim.run())
 
     def test_boot_delay_defers_scale_up(self):
         """Pool growth can only land ``boot_delay`` ticks after a
         governor decision tick."""
         cfg = small(boot_delay=5, govern_every=4)
-        sim = ServingSimulation(cfg)
-        grow_ticks = [r["time"] for i, r in enumerate(sim.run())
-                      if i and sim.records[i]["pool"]
-                      > sim.records[i - 1]["pool"]]
+        sim = ServeSimulator(cfg)
+        records = sim.run()
+        grow_ticks = [r["time"] for i, r in enumerate(records)
+                      if i and r["pool"] > records[i - 1]["pool"]]
         assert grow_ticks, "never scaled up under overload"
         # A decision at tick t books capacity for t + boot_delay; growth
         # therefore lands at least boot_delay after *some* decision tick.

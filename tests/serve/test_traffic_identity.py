@@ -18,8 +18,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import ClusterSimulator
 from repro.api.configs import ClusterConfig
-from repro.serve.cluster import ClusterSimulation
 
 #: sha256 of ``json.dumps(run_shard(0, steps=120, tiers=(skewed, flash,
 #: uniform)), sort_keys=True)`` captured on the pre-refactor generators.
@@ -45,7 +45,7 @@ class TestWeightEquality:
     @pytest.mark.parametrize("tier", ("skewed", "flash", "uniform"))
     def test_every_tier_matches_the_legacy_expression(self, tier):
         cfg = ClusterConfig(traffic=tier)
-        sim = ClusterSimulation(cfg)
+        sim = ClusterSimulator(cfg)._sim
         for t in (0.0, 100.0, 159.0, 160.0, 200.0, 279.0, 280.0, 399.0):
             np.testing.assert_array_equal(
                 sim._weights(t), _legacy_weights(cfg, t),
@@ -54,13 +54,13 @@ class TestWeightEquality:
     def test_nondefault_zipf_and_flash_parameters(self):
         skew = ClusterConfig(traffic="skewed", zipf_s=0.8, sessions=32)
         np.testing.assert_array_equal(
-            ClusterSimulation(skew)._weights(0.0),
+            ClusterSimulator(skew)._sim._weights(0.0),
             _legacy_weights(skew, 0.0))
         flash = ClusterConfig(traffic="flash", flash_at=10, flash_len=5,
                               flash_factor=3.0, flash_sessions=4)
         for t in (9.0, 10.0, 12.0, 15.0):
             np.testing.assert_array_equal(
-                ClusterSimulation(flash)._weights(t),
+                ClusterSimulator(flash)._sim._weights(t),
                 _legacy_weights(flash, t))
 
 
@@ -78,14 +78,14 @@ class TestGoldenShard:
 
 class TestScenarioFieldIsInert:
     def test_unset_scenario_changes_nothing(self):
-        plain = ClusterSimulation(ClusterConfig(steps=60, seed=0)).run()
-        again = ClusterSimulation(ClusterConfig(steps=60, seed=0,
-                                                scenario="")).run()
+        plain = ClusterSimulator(ClusterConfig(steps=60, seed=0)).run()
+        again = ClusterSimulator(ClusterConfig(steps=60, seed=0,
+                                               scenario="")).run()
         assert json.dumps(plain) == json.dumps(again)
 
     def test_scenario_modulates_the_cluster_load(self):
-        base = ClusterSimulation(ClusterConfig(steps=60, seed=0)).run()
-        spiked = ClusterSimulation(ClusterConfig(
+        base = ClusterSimulator(ClusterConfig(steps=60, seed=0)).run()
+        spiked = ClusterSimulator(ClusterConfig(
             steps=60, seed=0,
             scenario="flash_crowd")).run()
         assert sum(r["offered"] for r in spiked) \

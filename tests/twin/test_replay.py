@@ -7,8 +7,6 @@ import pytest
 from repro.api.adapters import ClusterSimulator, ServeSimulator
 from repro.api.configs import ClusterConfig, ServeConfig
 from repro.obs.export import TelemetrySession
-from repro.serve.cluster import ClusterSimulation
-from repro.serve.simulation import ServingSimulation
 from repro.twin import (TraceRecorder, TraceWorkload, evaluate_candidates,
                         parse_candidate, rank_candidates, render_table)
 
@@ -17,7 +15,7 @@ def _serve_workload(steps=160, seed=3, **config_kwargs):
     recorder = TraceRecorder(source="test")
     with TelemetrySession() as session:
         recorder.attach(session.bus)
-        sim = ServingSimulation(
+        sim = ServeSimulator(
             ServeConfig(steps=steps, seed=seed, **config_kwargs))
         sim.run()
         recorder.detach()
@@ -28,17 +26,17 @@ class TestServeReplay:
     def test_same_trace_same_seed_is_byte_identical(self):
         workload, _ = _serve_workload()
         config = ServeConfig(steps=160, seed=11)
-        first = ServingSimulation(config, workload=workload).run()
-        second = ServingSimulation(config, workload=workload).run()
+        first = ServeSimulator(config, workload=workload).run()
+        second = ServeSimulator(config, workload=workload).run()
         assert json.dumps(first) == json.dumps(second)
 
     def test_replay_offers_exactly_the_recorded_arrivals(self):
         workload, live = _serve_workload()
-        replay = ServingSimulation(ServeConfig(steps=160, seed=0),
-                                   workload=workload).run()
+        replay = ServeSimulator(ServeConfig(steps=160, seed=0),
+                                workload=workload).run()
         assert sum(r["offered"] for r in replay) == workload.total_offered
         assert [r["offered"] for r in replay] \
-            == [r["offered"] for r in live.records]
+            == [r["offered"] for r in live.result()]
 
     def test_replay_tracks_live_goodput_for_the_recorded_arm(self):
         """Replaying the recording arm's own trace stays close to its
@@ -53,10 +51,10 @@ class TestServeReplay:
 
     def test_different_seeds_differ_but_arrivals_do_not(self):
         workload, _ = _serve_workload()
-        a = ServingSimulation(ServeConfig(steps=160, seed=1),
-                              workload=workload).run()
-        b = ServingSimulation(ServeConfig(steps=160, seed=2),
-                              workload=workload).run()
+        a = ServeSimulator(ServeConfig(steps=160, seed=1),
+                           workload=workload).run()
+        b = ServeSimulator(ServeConfig(steps=160, seed=2),
+                           workload=workload).run()
         assert [r["offered"] for r in a] == [r["offered"] for r in b]
         assert json.dumps(a) != json.dumps(b)
 
@@ -73,21 +71,21 @@ class TestClusterReplay:
         recorder = TraceRecorder(source="test")
         with TelemetrySession() as session:
             recorder.attach(session.bus)
-            ClusterSimulation(ClusterConfig(steps=steps, seed=seed)).run()
+            ClusterSimulator(ClusterConfig(steps=steps, seed=seed)).run()
             recorder.detach()
         return TraceWorkload.from_recorder(recorder)
 
     def test_replay_is_byte_identical(self):
         workload = self._workload()
         config = ClusterConfig(steps=100, seed=9)
-        first = ClusterSimulation(config, workload=workload).run()
-        second = ClusterSimulation(config, workload=workload).run()
+        first = ClusterSimulator(config, workload=workload).run()
+        second = ClusterSimulator(config, workload=workload).run()
         assert json.dumps(first) == json.dumps(second)
 
     def test_replay_conserves_offered(self):
         workload = self._workload()
-        replay = ClusterSimulation(ClusterConfig(steps=100, seed=4),
-                                   workload=workload).run()
+        replay = ClusterSimulator(ClusterConfig(steps=100, seed=4),
+                                  workload=workload).run()
         assert sum(r["offered"] for r in replay) == workload.total_offered
 
     def test_adapter_passes_the_workload_through(self):

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
+from repro.api import ClusterSimulator, ServeSimulator
 from repro.api.configs import ClusterConfig, ServeConfig
 from repro.obs.export import TelemetrySession
-from repro.serve.cluster import ClusterSimulation
-from repro.serve.simulation import ServingSimulation
 from repro.twin import (SCHEMA, TraceRecorder, TraceSchemaError,
                         TraceWorkload)
 
@@ -24,7 +23,7 @@ def _record_serve(steps=120, seed=2, **config_kwargs):
     recorder = TraceRecorder(source="test")
     with TelemetrySession() as session:
         recorder.attach(session.bus)
-        sim = ServingSimulation(
+        sim = ServeSimulator(
             ServeConfig(steps=steps, seed=seed, **config_kwargs))
         sim.run()
         recorder.detach()
@@ -37,13 +36,13 @@ class TestRecorderIngestion:
         assert recorder.substrate == "serve"
         assert recorder.ticks == 120
         assert recorder.total_offered == sum(
-            int(r["offered"]) for r in sim.records)
+            int(r["offered"]) for r in sim.result())
 
     def test_records_cluster_run_with_sessions(self):
         recorder = TraceRecorder(source="test")
         with TelemetrySession() as session:
             recorder.attach(session.bus)
-            ClusterSimulation(ClusterConfig(steps=80, seed=1)).run()
+            ClusterSimulator(ClusterConfig(steps=80, seed=1)).run()
             recorder.detach()
         assert recorder.substrate == "cluster"
         assert recorder.ticks == 80
@@ -73,7 +72,7 @@ class TestRecorderIngestion:
         with TelemetrySession() as session:
             recorder.attach(session.bus)
             recorder.detach()
-            ServingSimulation(ServeConfig(steps=10, seed=0)).run()
+            ServeSimulator(ServeConfig(steps=10, seed=0)).run()
         assert recorder.total_offered == 0
 
     def test_tick_seconds_must_be_positive(self):
