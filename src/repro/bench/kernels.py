@@ -94,8 +94,10 @@ def _swarm_setup(n_robots: int = 32,
 
 
 def _cpn_setup(n: int = 30) -> StepRunner:
+    from ..api.adapters import CPNSimulator
+    from ..api.configs import CPNConfig
     from ..cpn.routing import OracleRouter
-    from ..cpn.sim import default_flows, routing_step
+    from ..cpn.sim import default_flows
     from ..cpn.topology import CPNetwork
 
     network = CPNetwork.random_geometric(n=n, seed=3)
@@ -108,15 +110,13 @@ def _cpn_setup(n: int = 30) -> StepRunner:
     # ~1.9x and impossible to gate on.
     for disturbance in network.disturbances:
         disturbance.start += 1e9
-    router = OracleRouter(network)
-    flows = default_flows(network, n_flows=6, seed=3)
-    t = 0.0
+    sim = CPNSimulator(CPNConfig(n_nodes=n, seed=3), network=network,
+                       router=OracleRouter(network),
+                       flows=default_flows(network, n_flows=6, seed=3))
 
     def run(n: int) -> None:
-        nonlocal t
         for _ in range(int(n)):
-            routing_step(network, router, flows, t)
-            t += 1.0
+            sim.step()
 
     return run
 
@@ -159,21 +159,21 @@ def _cloud_setup(base_rate: float = 60.0, max_servers: int = 40,
 
 
 def _sensornet_setup(n_channels: int = 8, budget: float = 3.0) -> StepRunner:
+    from ..api.adapters import SensornetSimulator
+    from ..api.configs import SensornetConfig
     from ..core.attention import SalienceAttention
     from ..sensornet.field import ChannelField, mixed_channel_specs
-    from ..sensornet.node import SensingNode
 
     field = ChannelField(mixed_channel_specs(n_channels, seed=5),
                          rng=np.random.default_rng(5))
-    node = SensingNode(field, SalienceAttention(staleness_scale=1.0),
-                       budget=budget, rng=np.random.default_rng(15))
-    t = 0.0
+    sim = SensornetSimulator(
+        SensornetConfig(n_channels=n_channels, budget=budget), field=field,
+        attention=SalienceAttention(staleness_scale=1.0),
+        rng=np.random.default_rng(15))
 
     def run(n: int) -> None:
-        nonlocal t
         for _ in range(int(n)):
-            node.step(t)
-            t += 1.0
+            sim.step()
 
     return run
 

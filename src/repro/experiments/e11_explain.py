@@ -11,6 +11,7 @@ the bookkeeping overhead of keeping the journal at all.
 
 from __future__ import annotations
 
+import gc
 import time as _time
 from typing import Dict, List, Sequence
 
@@ -57,16 +58,25 @@ def run_shard(seed: int, steps: int = 600) -> Dict[str, List[float]]:
         # Overhead probe: microbenchmark the journalling operations
         # themselves (log + outcome attach) against the measured
         # per-step cost of the whole awareness loop.  Wall-clock
-        # A/B of full runs is far too noisy at this scale.
+        # A/B of full runs is far too noisy at this scale.  The probe
+        # runs with the collector paused, as ``timeit`` does: a full
+        # collection landing inside it walks every object the process
+        # holds, and would bill that walk to the journal.
         from ..core.explanation import ExplanationLog
         sample = node.log.last()
         probe = ExplanationLog()
         reps = 2000
-        start = _time.perf_counter()
-        for _ in range(reps):
-            probe.log(sample.decision, sample.actuation)
-            probe.attach_outcome(sample.outcome or {})
-        journal_cost = (_time.perf_counter() - start) / reps
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            start = _time.perf_counter()
+            for _ in range(reps):
+                probe.log(sample.decision, sample.actuation)
+                probe.attach_outcome(sample.outcome or {})
+            journal_cost = (_time.perf_counter() - start) / reps
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         overhead = (100.0 * journal_cost / per_step if per_step > 0 else 0.0)
 
         report = node.log.report()

@@ -22,7 +22,7 @@ Telemetry is off by default.  Enable it for a scope::
     print(session.snapshot_summary())
 
 Instrumented hot paths guard on :func:`enabled` so the disabled cost is
-one attribute check (see ``benchmarks/test_obs_overhead.py``).
+one attribute check (see ``tests/obs/test_disabled_overhead.py``).
 """
 
 from .events import (ESCAPE_PREFIX, MAX_CAUSES, RESERVED_KEYS, Event,

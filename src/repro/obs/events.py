@@ -10,7 +10,7 @@ Telemetry is **off by default** and the disabled path is designed to be
 as close to free as Python allows: callers guard instrumentation blocks
 with :func:`enabled` (one attribute read), and :func:`emit` on a disabled
 bus returns before building any event object.  The overhead budget is
-enforced by ``benchmarks/test_obs_overhead.py``.
+enforced by ``tests/obs/test_disabled_overhead.py``.
 """
 
 from __future__ import annotations
@@ -285,7 +285,10 @@ def emit(name: str, *, causes=None, **fields: Any) -> Optional[Event]:
 
 def causal_scope(*causes: CauseLike) -> ContextManager:
     """A causal scope on the default bus (no-op context when disabled)."""
-    return _bus.causal_scope(*causes)
+    bus = _bus
+    if not bus.enabled:
+        return _NULL_SCOPE
+    return bus.causal_scope(*causes)
 
 
 def subscribe(subscriber: Subscriber) -> Subscriber:

@@ -169,7 +169,8 @@ class SimulationServer:
         self._queue = asyncio.Queue()
         # The explanation store rides the server's bus for its lifetime;
         # a disabled bus never invokes subscribers, so when telemetry is
-        # off the attachment is free (benchmarks pin this down).
+        # off the attachment is free (tests/obs/test_disabled_overhead.py
+        # pins this down).
         self.explain_store = ExplanationStore().attach(obs_events.get_bus())
         self._tasks = [asyncio.create_task(self._batch_loop()),
                        asyncio.create_task(self._ttl_loop())]

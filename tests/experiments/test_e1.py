@@ -1,4 +1,4 @@
-"""Benchmark E1: levels-of-self-awareness ablation (DESIGN.md E1).
+"""E1 claim checks: levels-of-self-awareness ablation (DESIGN.md E1).
 
 Regenerates the E1 table at reduced size and checks its shape: utility
 should not degrade as levels are added, the static baseline should have
@@ -8,22 +8,12 @@ provide a clear jump once stakeholders change their minds mid-run.
 
 import pytest
 
-from repro.experiments import e1_levels
-from repro.experiments.harness import format_table
-
-SEEDS = (0, 1)
-STEPS = 1500
+from . import claim_tables
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e1_levels.run(seeds=SEEDS, steps=STEPS)
-
-
-def test_e1_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e1_levels.run(seeds=(0,), steps=700),
-        rounds=1, iterations=1)
+    return claim_tables.e1()
 
 
 def test_static_baseline_has_worst_phase_management(table):
@@ -52,8 +42,3 @@ def test_meta_level_actually_switches(table):
                             "stimulus+interaction+time+goal+meta")
     assert meta_row["switches"] >= 1.0
 
-
-def test_table_prints(table, capsys):
-    print(format_table(table))
-    out = capsys.readouterr().out
-    assert "E1" in out and "static" in out

@@ -1,4 +1,4 @@
-"""Benchmark E10: design-time knowledge vs run-time learning (DESIGN.md E10).
+"""E10 claim checks: design-time priors vs run-time learning (DESIGN.md E10).
 
 Shape checks: the run-time learner recovers most of the exact-prior
 utility with zero design-time model; a stale prior is substantially
@@ -8,21 +8,12 @@ most of the damage by the end of the run.
 
 import pytest
 
-from repro.experiments import e10_priors
-
-SEEDS = (0, 1, 2)
-STEPS = 600
+from . import claim_tables
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e10_priors.run(seeds=SEEDS, steps=STEPS)
-
-
-def test_e10_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e10_priors.run(seeds=(0,), steps=400),
-        rounds=1, iterations=1)
+    return claim_tables.e10()
 
 
 def test_learner_recovers_most_of_exact_prior(table):

@@ -1,4 +1,4 @@
-"""Benchmark E11: self-explanation quality and overhead (DESIGN.md E11).
+"""E11 claim checks: self-explanation quality and overhead (DESIGN.md E11).
 
 Shape checks: deliberative (model-holding) nodes produce evidence-backed
 explanations for every decision -- the static system can only say "I was
@@ -8,21 +8,12 @@ stays small relative to the run.
 
 import pytest
 
-from repro.experiments import e11_explain
-
-SEEDS = (0, 1)
-STEPS = 500
+from . import claim_tables
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e11_explain.run(seeds=SEEDS, steps=STEPS)
-
-
-def test_e11_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e11_explain.run(seeds=(0,), steps=300),
-        rounds=1, iterations=1)
+    return claim_tables.e11()
 
 
 def test_every_decision_is_explainable(table):

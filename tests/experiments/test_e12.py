@@ -1,4 +1,4 @@
-"""Benchmark E12: swarm structural self-adaptation (DESIGN.md extension).
+"""E12 claim checks: swarm structural self-adaptation (DESIGN.md extension).
 
 Shape checks: the self-aware swarm detects the most events overall,
 keeps its detection rate after the hotspots shift and after robots die
@@ -17,12 +17,6 @@ STEPS = 600
 @pytest.fixture(scope="module")
 def table():
     return e12_swarm.run(seeds=SEEDS, steps=STEPS)
-
-
-def test_e12_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e12_swarm.run(seeds=(0,), steps=300),
-        rounds=1, iterations=1)
 
 
 def test_self_aware_best_overall(table):

@@ -1,4 +1,4 @@
-"""Benchmark E2: smart cameras learn to be different (DESIGN.md E2).
+"""E2 claim checks: smart cameras learn to be different (DESIGN.md E2).
 
 Shape checks: in every scenario the learned-heterogeneous network stays
 within 15% of the best homogeneous assignment (which differs across
@@ -8,21 +8,12 @@ learned network develops non-zero strategy diversity.
 
 import pytest
 
-from repro.experiments import e2_camera
-
-SEEDS = (0, 1)
-STEPS = 500
+from . import claim_tables
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e2_camera.run(seeds=SEEDS, steps=STEPS)
-
-
-def test_e2_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e2_camera.run(seeds=(0,), steps=250),
-        rounds=1, iterations=1)
+    return claim_tables.e2()
 
 
 def _rows_for(table, controller):

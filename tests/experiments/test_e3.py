@@ -1,4 +1,4 @@
-"""Benchmark E3: self-aware cloud autoscaling (DESIGN.md E3).
+"""E3 claim checks: self-aware cloud autoscaling (DESIGN.md E3).
 
 Shape checks: the self-aware scaler reaches near-oracle utility, beats
 the under-provisioned static cluster outright, provisions far fewer
@@ -8,26 +8,17 @@ is the scaler that actually cuts cost when stakeholders re-weight.
 
 import pytest
 
-from repro.experiments import e3_cloud
-
-SEEDS = (0, 1)
-STEPS = 500
+from . import claim_tables
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e3_cloud.run(seeds=SEEDS, steps=STEPS)
+    return claim_tables.e3()
 
 
 @pytest.fixture(scope="module")
 def change_table():
-    return e3_cloud.run_goal_change(seeds=SEEDS, steps=STEPS)
-
-
-def test_e3_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e3_cloud.run(seeds=(0,), steps=300),
-        rounds=1, iterations=1)
+    return claim_tables.e3_goal_change()
 
 
 def test_self_aware_near_oracle(table):

@@ -1,4 +1,4 @@
-"""Benchmark E4: volunteer composition awareness ordering (DESIGN.md E4).
+"""E4 claim checks: volunteer composition awareness ordering (DESIGN.md E4).
 
 Shape check: random < static-rank < stimulus-aware < self-aware on
 request success rate, and the design-time ranking degrades late in the
@@ -7,21 +7,12 @@ run as reliabilities drift away from their measured values.
 
 import pytest
 
-from repro.experiments import e4_volunteer
-
-SEEDS = (0, 1, 2)
-STEPS = 2000
+from . import claim_tables
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e4_volunteer.run(seeds=SEEDS, steps=STEPS)
-
-
-def test_e4_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e4_volunteer.run(seeds=(0,), steps=1000),
-        rounds=1, iterations=1)
+    return claim_tables.e4()
 
 
 def test_awareness_ordering(table):

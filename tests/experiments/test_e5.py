@@ -1,4 +1,4 @@
-"""Benchmark E5: run-time multi-core management (DESIGN.md E5).
+"""E5 claim checks: run-time multi-core management (DESIGN.md E5).
 
 Shape checks: the self-aware governor matches or beats every baseline on
 goal utility while keeping the thermal constraint satisfied (the
@@ -8,26 +8,17 @@ the governor that actually reduces energy when asked to.
 
 import pytest
 
-from repro.experiments import e5_multicore
-
-SEEDS = (0, 1)
-STEPS = 800
+from . import claim_tables
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e5_multicore.run(seeds=SEEDS, steps=STEPS)
+    return claim_tables.e5()
 
 
 @pytest.fixture(scope="module")
 def change_table():
-    return e5_multicore.run_goal_change(seeds=(0,), steps=600)
-
-
-def test_e5_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e5_multicore.run(seeds=(0,), steps=400),
-        rounds=1, iterations=1)
+    return claim_tables.e5_goal_change()
 
 
 def test_self_aware_utility_competitive(table):

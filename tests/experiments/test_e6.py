@@ -1,4 +1,4 @@
-"""Benchmark E6: CPN routing resilience (DESIGN.md E6).
+"""E6 claim checks: CPN routing resilience (DESIGN.md E6).
 
 Shape checks: under the DoS attack the self-aware router keeps delivery
 near its pre-attack level (static routing collapses), its attack-time
@@ -10,19 +10,12 @@ import pytest
 
 from repro.experiments import e6_cpn
 
-SEEDS = (0, 1)
-STEPS = 500
+from . import claim_tables
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e6_cpn.run(seeds=SEEDS, steps=STEPS)
-
-
-def test_e6_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e6_cpn.run(seeds=(0,), n_nodes=20, steps=300),
-        rounds=1, iterations=1)
+    return claim_tables.e6()
 
 
 def test_static_collapses_under_attack(table):
@@ -51,7 +44,7 @@ def test_adaptivity_overhead_bounded(table):
 
 @pytest.fixture(scope="module")
 def qos_table():
-    return e6_cpn.run_qos_classes(seeds=SEEDS, steps=400)
+    return e6_cpn.run_qos_classes(seeds=(0, 1), steps=400)
 
 
 def _class_row(table, router, traffic_class):

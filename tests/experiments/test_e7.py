@@ -1,4 +1,4 @@
-"""Benchmark E7: attention under an energy budget (DESIGN.md E7).
+"""E7 claim checks: attention under an energy budget (DESIGN.md E7).
 
 Shape checks: under a tight budget the salience (self-aware) policy
 tracks the field at least as well as every unaware policy and far better
@@ -10,19 +10,13 @@ import pytest
 
 from repro.experiments import e7_attention
 
-SEEDS = (0, 1, 2)
-BUDGETS = (2.0, 4.0, 8.0)
+from . import claim_tables
+from .claim_tables import E7_BUDGETS as BUDGETS
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e7_attention.run(seeds=SEEDS, budgets=BUDGETS, steps=400)
-
-
-def test_e7_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e7_attention.run(seeds=(0,), budgets=(2.0,), steps=250),
-        rounds=1, iterations=1)
+    return claim_tables.e7()
 
 
 def _row(table, policy, budget):

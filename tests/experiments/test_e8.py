@@ -1,4 +1,4 @@
-"""Benchmark E8: meta-self-awareness under concept drift (DESIGN.md E8).
+"""E8 claim checks: meta-self-awareness under concept drift (DESIGN.md E8).
 
 Shape checks: each fixed plasticity loses one era (stable loses the
 turbulent one badly); the meta controllers match or beat the best fixed
@@ -8,21 +8,12 @@ actually switch strategies.
 
 import pytest
 
-from repro.experiments import e8_meta
-
-SEEDS = (0, 1, 2)
-STEPS = 3000
+from . import claim_tables
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e8_meta.run(seeds=SEEDS, steps=STEPS)
-
-
-def test_e8_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e8_meta.run(seeds=(0,), steps=1500),
-        rounds=1, iterations=1)
+    return claim_tables.e8()
 
 
 def test_stable_loses_turbulent_era(table):

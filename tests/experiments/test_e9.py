@@ -1,4 +1,4 @@
-"""Benchmark E9: collective self-awareness architectures (DESIGN.md E9).
+"""E9 claim checks: collective self-awareness architectures (DESIGN.md E9).
 
 Shape checks: without failures all three schemes make (nearly) every
 node aware of the global quantity; when the scheme's most critical node
@@ -7,23 +7,15 @@ subtree, and gossip keeps every surviving node aware; the central hub
 is the message hot-spot and its load grows with N.
 """
 
-
 import pytest
 
-from repro.experiments import e9_collective
-
-SIZES = (10, 50)
+from . import claim_tables
+from .claim_tables import E9_SIZES as SIZES
 
 
 @pytest.fixture(scope="module")
 def table():
-    return e9_collective.run(seeds=(0, 1), sizes=SIZES)
-
-
-def test_e9_benchmark(benchmark):
-    benchmark.pedantic(
-        lambda: e9_collective.run(seeds=(0,), sizes=(10, 50)),
-        rounds=1, iterations=1)
+    return claim_tables.e9()
 
 
 def _row(table, scheme, n, failure):

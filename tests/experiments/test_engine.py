@@ -1,15 +1,21 @@
-"""The parallel engine: determinism, caching, telemetry merge.
+"""The parallel engine: determinism, caching, telemetry merge, speedup.
 
 The two guarantees the engine makes -- tables are byte-identical at any
 worker count, and a warm cache satisfies every shard without executing
 anything -- are exactly what these tests pin down, on small real
-experiments (E3 and E9, both fully deterministic).  Timing-derived
-values (the wall/step-rate provenance note, E11's measured overhead
-column) honestly vary run to run and sit outside the guarantee; the
-``canonical_*`` helpers strip the note before comparing.
+experiments (E3 and E9, both fully deterministic).  Two speedup claims
+ride on them: on a box with at least four cores ``--jobs 4`` beats
+``--jobs 1`` by a wide margin on a quick-suite slice, and a warm cache
+beats a cold run by an order of magnitude (disk reads replace
+simulation).  Timing-derived values (the wall/step-rate provenance
+note, E11's measured overhead column) honestly vary run to run and sit
+outside the guarantee; the ``canonical_*`` helpers strip the note
+before comparing.
 """
 
 import math
+import os
+import time
 
 import pytest
 
@@ -18,6 +24,7 @@ from repro.experiments.engine import (EngineReport, ShardCache, ShardSpec,
                                       canonical_table_text, code_fingerprint,
                                       run_suite, shard_cache_key)
 from repro.experiments.harness import ExperimentTable, format_table
+from repro.experiments.run_all import suite_jobs
 from repro.obs import TelemetrySession
 from repro.obs.metrics import MergedHistogram, MetricsRegistry
 
@@ -197,3 +204,45 @@ class TestEngineReport:
     def test_total_shards(self):
         report = EngineReport(tables=[], executed_shards=3, cached_shards=2)
         assert report.total_shards == 5
+
+
+#: A parallel-friendly slice of the quick suite: enough shards to keep
+#: four workers busy, small enough to time in a test.
+_SPEEDUP_NAMES = ("E3", "E3-goal", "E5", "E6", "E9", "A2")
+
+
+def _speedup_jobs():
+    return [job for job in suite_jobs(quick=True)
+            if job.name in _SPEEDUP_NAMES]
+
+
+def _timed(**kwargs):
+    start = time.perf_counter()
+    report = run_suite(_speedup_jobs(), **kwargs)
+    return report, time.perf_counter() - start
+
+
+class TestSpeedup:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 4,
+                        reason="pool speedup needs at least 4 cores")
+    def test_jobs4_at_least_1_8x_faster_than_serial(self):
+        # Warm-up: imports and any lazy module state, so both timed runs
+        # pay identical fixed costs.
+        run_suite(_speedup_jobs()[:1], n_jobs=1)
+        serial, serial_wall = _timed(n_jobs=1)
+        parallel, parallel_wall = _timed(n_jobs=4)
+        assert (canonical_suite_text(serial.tables)
+                == canonical_suite_text(parallel.tables))
+        assert serial_wall / parallel_wall >= 1.8, (
+            f"serial {serial_wall:.2f}s vs 4 workers {parallel_wall:.2f}s")
+
+    def test_warm_cache_at_least_5x_faster_than_cold(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cold, cold_wall = _timed(n_jobs=1, cache=True, cache_dir=cache_dir)
+        warm, warm_wall = _timed(n_jobs=1, cache=True, cache_dir=cache_dir)
+        assert cold.cached_shards == 0
+        assert warm.executed_shards == 0
+        assert (canonical_suite_text(cold.tables)
+                == canonical_suite_text(warm.tables))
+        assert cold_wall / warm_wall >= 5.0, (
+            f"cold {cold_wall:.2f}s vs warm {warm_wall:.2f}s")

@@ -2,7 +2,7 @@
 
 The observability layer promises a near-zero disabled cost: hot paths pay
 one ``enabled()`` check (an attribute read) and skip all instrumentation.
-This benchmark runs a 1k-step control loop with telemetry off, measures
+This guard runs a 1k-step control loop with telemetry off, measures
 the actual per-check cost of the disabled instrumentation primitives, and
 asserts that the total per-step instrumentation budget stays under 5% of
 the loop's own step time.
@@ -63,7 +63,7 @@ def _run_loop():
 
 
 def test_disabled_overhead_under_5_percent():
-    assert not enabled(), "benchmark requires telemetry off"
+    assert not enabled(), "the guard requires telemetry off"
 
     # The real loop, telemetry disabled (instrumentation checks included).
     loop_seconds = min(timeit.repeat(_run_loop, number=1, repeat=3))
@@ -99,7 +99,7 @@ def test_disabled_fast_path_allocates_nothing():
     subscribers, so the store must see nothing and allocate nothing.
     Net allocations attributed to the guarded loop must be zero.
     """
-    assert not enabled(), "benchmark requires telemetry off"
+    assert not enabled(), "the guard requires telemetry off"
     store = ExplanationStore().attach(get_bus())
 
     def guarded(n):

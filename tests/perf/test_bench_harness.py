@@ -129,6 +129,30 @@ class TestKernelRegistry:
         (sim,) = built
         assert sim.snapshot()["steps_taken"] == 4
 
+    @pytest.mark.parametrize("setup_name,adapter_name", [
+        ("_sensornet_setup", "SensornetSimulator"),
+        ("_cpn_setup", "CPNSimulator")])
+    def test_substrate_kernels_step_their_adapter(self, monkeypatch,
+                                                  setup_name, adapter_name):
+        """``sensornet.step`` and ``cpn.step`` time the adapter the E6/E7
+        tables and served sessions run, not the bare model loop."""
+        from repro.api import adapters
+        from repro.bench import kernels
+
+        built = []
+        base = getattr(adapters, adapter_name)
+
+        class Recorded(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(adapters, adapter_name, Recorded)
+        run = getattr(kernels, setup_name)()
+        run(20)
+        (sim,) = built
+        assert sim.snapshot()["steps_taken"] == 20
+
 
 class TestParsePercent:
     def test_percent_and_fraction(self):
