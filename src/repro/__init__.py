@@ -15,14 +15,14 @@ Subpackages
     reasoners, self-expression, meta-self-awareness, self-explanation,
     attention, collective self-awareness.
 ``repro.learning``
-    Common learning techniques (bandits, Q-learning, RLS, forecasting,
-    drift detection, learning automata, ensembles).
+    Common learning techniques (an ε-greedy bandit, RLS, forecasting,
+    drift detection).
 ``repro.envgen``
     Synthetic environment and workload generators (drift, shocks,
     seasonality, Markov modulation).
 ``repro.metrics``
-    Multi-objective evaluation: Pareto fronts, hypervolume, regret,
-    adaptation metrics, summary statistics.
+    Multi-objective evaluation: Pareto coverage and spread, regret,
+    adaptation metrics, a linear percentile.
 ``repro.smartcamera`` / ``repro.cloud`` / ``repro.multicore`` /
 ``repro.cpn`` / ``repro.sensornet`` / ``repro.swarm``
     The case-study substrates, each with self-aware and baseline
@@ -37,6 +37,6 @@ Subpackages
 
 from . import core, learning, obs
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = ["core", "learning", "obs", "__version__"]

@@ -30,7 +30,7 @@ from .goals import (Constraint, Goal, GoalEvaluation, Objective, dominates,
                     knee_point, pareto_front)
 from .hierarchy import Intervention, Supervisor
 from .knowledge import Belief, History, KnowledgeBase, Observation
-from .levels import ALL_LEVELS, CapabilityProfile, SelfAwarenessLevel, ladder
+from .levels import CapabilityProfile, SelfAwarenessLevel, ladder
 from .loop import (Environment, SimulationClock, Trace, TraceStep,
                    run_control_loop)
 from .meta import (MetaReasoner, StrategyStats, SwitchEvent, SwitchHistory,
@@ -40,8 +40,7 @@ from .models import (BlendedModel, ContextualActionModel, EmpiricalActionModel,
 from .node import SelfAwareNode, StepResult
 from .patterns import (build_model, build_node, build_reasoner,
                        build_static_node, clone_goal)
-from .reasoner import (Decision, Reasoner, ReactiveRulePolicy, Rule,
-                       StaticPolicy, UtilityReasoner)
+from .reasoner import Decision, Reasoner, StaticPolicy, UtilityReasoner
 from .sensors import Sensor, SensorReading, SensorSuite
 from .spans import Scope, Span, private, public
 
@@ -57,7 +56,7 @@ __all__ = [
     "knee_point", "pareto_front",
     "Intervention", "Supervisor",
     "Belief", "History", "KnowledgeBase", "Observation",
-    "ALL_LEVELS", "CapabilityProfile", "SelfAwarenessLevel", "ladder",
+    "CapabilityProfile", "SelfAwarenessLevel", "ladder",
     "Environment", "SimulationClock", "Trace", "TraceStep", "run_control_loop",
     "MetaReasoner", "StrategyStats", "SwitchEvent", "SwitchHistory",
     "switches_from_events",
@@ -66,8 +65,7 @@ __all__ = [
     "SelfAwareNode", "StepResult",
     "build_model", "build_node", "build_reasoner", "build_static_node",
     "clone_goal",
-    "Decision", "Reasoner", "ReactiveRulePolicy", "Rule", "StaticPolicy",
-    "UtilityReasoner",
+    "Decision", "Reasoner", "StaticPolicy", "UtilityReasoner",
     "Sensor", "SensorReading", "SensorSuite",
     "Scope", "Span", "private", "public",
 ]

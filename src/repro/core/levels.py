@@ -93,9 +93,6 @@ _DESCRIPTIONS = {
     ),
 }
 
-#: All levels, lowest first.
-ALL_LEVELS: tuple = tuple(SelfAwarenessLevel)
-
 
 @dataclass(frozen=True)
 class CapabilityProfile:

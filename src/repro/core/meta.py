@@ -20,18 +20,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Mapping, Optional, Protocol, Sequence
+from typing import Deque, Dict, Hashable, List, Mapping, Optional, Sequence
 
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from .reasoner import Decision, Reasoner
-
-
-class DriftDetector(Protocol):
-    """Anything that consumes a numeric stream and flags change points."""
-
-    def update(self, value: float) -> bool:
-        """Feed one value; return ``True`` when a change is detected."""
 
 
 @dataclass
@@ -77,8 +70,10 @@ class MetaReasoner(Reasoner):
         Name of the initially active strategy (default: first).
     detector_factory:
         Zero-argument callable building a fresh drift detector for the
-        active strategy's utility stream; ``None`` disables drift-based
-        switching.
+        active strategy's utility stream: anything whose ``update(value)``
+        returns ``True`` on a change, such as
+        :class:`~repro.learning.drift.PageHinkley`.  ``None`` disables
+        drift-based switching.
     probe_interval:
         Every ``probe_interval`` decisions, one decision is delegated to a
         non-active strategy chosen round-robin, so the meta level keeps

@@ -5,7 +5,6 @@ actions (configurations, routes, mappings...) using whatever knowledge the
 node's capability profile grants it:
 
 - :class:`StaticPolicy` -- the design-time classic: one fixed choice.
-- :class:`ReactiveRulePolicy` -- stimulus-aware threshold rules.
 - :class:`UtilityReasoner` -- goal-aware model-based reasoning: predict
   each action's metric outcomes with a self-model, evaluate against the
   current :class:`~repro.core.goals.Goal`, and pick the best (weighted
@@ -94,54 +93,6 @@ class StaticPolicy(Reasoner):
         chosen = self.action if self.action in actions else actions[0]
         return Decision(action=chosen, time=time,
                         reason="static design-time policy")
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One reactive rule: *if metric compares to threshold, take action*.
-
-    ``op`` is ``">"`` or ``"<"``.  Rules fire in priority order (first
-    match wins), mirroring how threshold-based autoscalers and governors
-    are written in practice.
-    """
-
-    metric: str
-    op: str
-    threshold: float
-    action: Hashable
-
-    def __post_init__(self) -> None:
-        if self.op not in (">", "<"):
-            raise ValueError(f"rule op must be '>' or '<', got {self.op!r}")
-
-    def fires(self, context: Mapping[str, float]) -> bool:
-        value = context.get(self.metric)
-        if value is None or math.isnan(value):
-            return False
-        return value > self.threshold if self.op == ">" else value < self.threshold
-
-
-class ReactiveRulePolicy(Reasoner):
-    """Stimulus-aware policy: threshold rules over the current context.
-
-    Reacts to what is happening *now*; holds no history, no model and no
-    explicit goals.  ``default`` is chosen when no rule fires.
-    """
-
-    def __init__(self, rules: Sequence[Rule], default: Hashable) -> None:
-        self.rules = list(rules)
-        self.default = default
-
-    def decide(self, time: float, context: Mapping[str, float],
-               actions: Sequence[Hashable]) -> Decision:
-        for rule in self.rules:
-            if rule.fires(context) and rule.action in actions:
-                return Decision(
-                    action=rule.action, time=time,
-                    reason=(f"rule fired: {rule.metric} {rule.op} "
-                            f"{rule.threshold} -> {rule.action}"))
-        chosen = self.default if self.default in actions else actions[0]
-        return Decision(action=chosen, time=time, reason="no rule fired; default")
 
 
 class UtilityReasoner(Reasoner):

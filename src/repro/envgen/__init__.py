@@ -1,13 +1,13 @@
 """Environment and workload generators shared by all substrates.
 
 Models of the paper's complexity challenges (Section II): uncertainty
-(noise, Markov modulation), ongoing change (random walks, regime
-sequences, drift), and exogenous shocks.
+(noise, Markov modulation), ongoing change (random walks, seasonality,
+drift), and exogenous shocks.
 """
 
-from .driftgen import DriftingBandit, DriftingRegression
+from .driftgen import DriftingBandit
 from .processes import (BoundedRandomWalk, MarkovModulatedProcess,
-                        RegimeSequence, SeasonalProcess, Shock, ShockSchedule)
+                        SeasonalProcess, Shock, ShockSchedule)
 from .scenario import (SCENARIOS, Concat, Constant, CorrelatedFailure,
                        Diurnal, FlashCrowd, FlashMix, HeavyTail, MarkovChurn,
                        Modulate, Scenario, ScenarioTrack, SessionMix,
@@ -16,9 +16,9 @@ from .workloads import (RequestRateWorkload, Task, TaskClass,
                         TaskStreamWorkload)
 
 __all__ = [
-    "DriftingBandit", "DriftingRegression",
-    "BoundedRandomWalk", "MarkovModulatedProcess", "RegimeSequence",
-    "SeasonalProcess", "Shock", "ShockSchedule",
+    "DriftingBandit",
+    "BoundedRandomWalk", "MarkovModulatedProcess", "SeasonalProcess",
+    "Shock", "ShockSchedule",
     "RequestRateWorkload", "Task", "TaskClass", "TaskStreamWorkload",
     "SCENARIOS", "Scenario", "ScenarioTrack", "make_scenario",
     "Constant", "Diurnal", "HeavyTail", "FlashCrowd", "MarkovChurn",

@@ -3,17 +3,13 @@
 E8 needs decision tasks whose *reward structure* changes over time, so
 that a learner tuned for one concept degrades after the change and only a
 meta-self-aware system (which watches its own performance) recovers
-quickly.  Two generators:
-
-- :class:`DriftingBandit` -- K arms whose mean rewards are shuffled or
-  re-drawn at drift points (abrupt) or interpolated (gradual).
-- :class:`DriftingRegression` -- a linear target whose weight vector
-  changes at drift points; used to stress forecasting/regression models.
+quickly.  :class:`DriftingBandit` is that task: K arms whose mean
+rewards are re-drawn at drift points (abrupt) or interpolated (gradual).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -83,40 +79,3 @@ class DriftingBandit:
                 self._next_means = self._rng.uniform(0.0, 1.0, size=self.n_arms)
         return reward
 
-
-class DriftingRegression:
-    """Streaming linear-regression task with weight-vector drift.
-
-    Emits ``(x, y)`` pairs where ``y = w(t) . x + noise`` and ``w``
-    changes abruptly every ``drift_every`` samples.
-    """
-
-    def __init__(self, n_features: int = 3, drift_every: int = 400,
-                 noise_std: float = 0.05,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        if n_features <= 0:
-            raise ValueError("n_features must be positive")
-        if drift_every <= 0:
-            raise ValueError("drift_every must be positive")
-        self.n_features = n_features
-        self.drift_every = drift_every
-        self.noise_std = noise_std
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._weights = self._rng.normal(0.0, 1.0, size=n_features)
-        self.t = 0
-        self.drifts = 0
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Current true weight vector (copy)."""
-        return self._weights.copy()
-
-    def sample(self) -> Tuple[np.ndarray, float]:
-        """One ``(x, y)`` pair; drift fires on schedule."""
-        x = self._rng.uniform(-1.0, 1.0, size=self.n_features)
-        y = float(self._weights @ x + self._rng.normal(0.0, self.noise_std))
-        self.t += 1
-        if self.t % self.drift_every == 0:
-            self.drifts += 1
-            self._weights = self._rng.normal(0.0, 1.0, size=self.n_features)
-        return x, y

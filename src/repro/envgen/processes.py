@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -183,30 +183,3 @@ class MarkovModulatedProcess:
                    transition=[[stay, 1.0 - stay], [1.0 - stay, stay]],
                    **kwargs)
 
-
-class RegimeSequence:
-    """Piecewise-constant regimes on a fixed timetable.
-
-    Used when experiments need *known* change points (e.g. to measure
-    adaptation speed after a change).  ``regimes`` maps interval start
-    times to values; lookups take the value of the latest started regime.
-    """
-
-    def __init__(self, breakpoints: Sequence[Tuple[float, float]]) -> None:
-        if not breakpoints:
-            raise ValueError("need at least one (start, value) breakpoint")
-        self.breakpoints = sorted(breakpoints, key=lambda bv: bv[0])
-
-    def value(self, t: float) -> float:
-        """Regime value in force at time ``t``."""
-        current = self.breakpoints[0][1]
-        for start, value in self.breakpoints:
-            if t >= start:
-                current = value
-            else:
-                break
-        return current
-
-    def change_times(self) -> List[float]:
-        """All regime start times after the first."""
-        return [start for start, _v in self.breakpoints[1:]]

@@ -37,18 +37,10 @@ N_ARMS = 6
 REWARD_STD = 0.4
 
 
-class _BanditStrategy:
-    """Adapter: an ε-greedy bandit behind a tiny select/update protocol."""
-
-    def __init__(self, discount: float, seed: int) -> None:
-        self.policy = EpsilonGreedy(N_ARMS, epsilon=0.08, discount=discount,
-                                    rng=np.random.default_rng(seed))
-
-    def select(self) -> int:
-        return self.policy.select()
-
-    def update(self, arm: int, reward: float) -> None:
-        self.policy.update(arm, reward)
+def _bandit(discount: float, seed: int) -> EpsilonGreedy:
+    """One strategy of the portfolio: an ε-greedy bandit over the arms."""
+    return EpsilonGreedy(N_ARMS, epsilon=0.08, discount=discount,
+                         rng=np.random.default_rng(seed))
 
 
 class MetaBandit:
@@ -72,8 +64,8 @@ class MetaBandit:
         if trigger not in ("detector", "window"):
             raise ValueError("trigger must be 'detector' or 'window'")
         self.strategies = {
-            "stable": _BanditStrategy(discount=1.0, seed=seed),
-            "plastic": _BanditStrategy(discount=0.9, seed=seed + 1),
+            "stable": _bandit(discount=1.0, seed=seed),
+            "plastic": _bandit(discount=0.9, seed=seed + 1),
         }
         self.active = "stable"
         self.trigger = trigger
@@ -158,8 +150,8 @@ def _run_two_era(learner, seed: int, steps: int,
 
 def _learner_factories() -> Dict[str, Callable[[int], object]]:
     return {
-        "stable(fixed)": lambda seed: _BanditStrategy(1.0, seed),
-        "plastic(fixed)": lambda seed: _BanditStrategy(0.9, seed),
+        "stable(fixed)": lambda seed: _bandit(1.0, seed),
+        "plastic(fixed)": lambda seed: _bandit(0.9, seed),
         "meta(detector)": lambda seed: MetaBandit("detector", seed),
         "meta(window)": lambda seed: MetaBandit("window", seed),
     }

@@ -483,7 +483,7 @@ def run_suite(jobs: Sequence[SuiteJob],
 def _stamp_provenance(tables: Sequence[ExperimentTable],
                       shard_results: Sequence[ShardResult],
                       reduce_wall: float, telemetry: bool) -> None:
-    """Append the wall/step-rate note run_with_provenance used to add.
+    """Append each table's provenance note: shard wall time and step rate.
 
     ``wall`` sums the shard walls (work done, not wall-clock elapsed --
     under a pool the same shards cost the same work, spread over
@@ -505,7 +505,7 @@ def _stamp_provenance(tables: Sequence[ExperimentTable],
 # Determinism helpers
 # ---------------------------------------------------------------------------
 
-#: Note segments the engine (and run_with_provenance) stamp that vary
+#: Note segments :func:`_stamp_provenance` stamps that vary
 #: run to run: wall clock, step rate, cache accounting.
 _VOLATILE_NOTE = re.compile(r"^wall \d")
 

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
-
-from ..obs.export import TelemetrySession
+from typing import Any, Dict, List, Sequence
 
 
 @dataclass
@@ -123,40 +120,3 @@ def write_markdown_report(tables: Sequence[ExperimentTable], path: str,
     with open(path, "w") as handle:
         handle.write("\n".join(sections))
 
-
-RunResult = Union[ExperimentTable, List[ExperimentTable]]
-
-
-def run_with_provenance(run_fn: Callable[..., RunResult], *args: Any,
-                        telemetry: Optional[TelemetrySession] = None,
-                        **kwargs: Any) -> RunResult:
-    """Run one experiment entry point, stamping provenance into its notes.
-
-    Every returned :class:`ExperimentTable` gains a note recording the
-    wall-clock time of the run and -- when a
-    :class:`~repro.obs.export.TelemetrySession` is supplied via
-    ``telemetry=`` -- the number of simulated steps executed and the
-    achieved step rate (read from the session's ``steps`` counters, which
-    the core loop and every simulator increment).  The session is entered
-    for the duration of the run, so the same call also produces the JSONL
-    trace and metric snapshot the session is configured for.
-    """
-    if telemetry is not None:
-        steps_before = telemetry.registry.total("steps")
-        start = perf_counter()
-        with telemetry:
-            result = run_fn(*args, **kwargs)
-        wall = perf_counter() - start
-        steps = telemetry.registry.total("steps") - steps_before
-    else:
-        start = perf_counter()
-        result = run_fn(*args, **kwargs)
-        wall = perf_counter() - start
-        steps = 0.0
-    note = f"wall {wall:.2f}s"
-    if steps > 0:
-        note += f", {steps:g} steps, {steps / wall:.0f} steps/s [telemetry]"
-    tables = result if isinstance(result, list) else [result]
-    for table in tables:
-        table.append_note(note)
-    return result

@@ -1,30 +1,21 @@
 """Common learning techniques for realising self-awareness (paper ref [61]).
 
 Standalone online-learning algorithms that the framework and the
-substrates plug in: bandits, tabular Q-learning, recursive least squares,
-time-series forecasters, concept-drift detectors, learning automata and
-drift-robust ensembles.  This package has no dependency on
-:mod:`repro.core`; the dependency points the other way.
+substrates plug in: an ε-greedy bandit, recursive least squares,
+time-series forecasters and concept-drift detectors.  This package has
+no dependency on :mod:`repro.core`; the dependency points the other way.
 """
 
-from .automata import LearningAutomaton
-from .bandits import BanditPolicy, EpsilonGreedy, ThompsonSampling, UCB1
-from .contextual import LinUCB
+from .bandits import EpsilonGreedy
 from .drift import DDM, PageHinkley, WindowDriftDetector
-from .ensembles import DriftRobustEnsemble
 from .forecast import (ARForecaster, EWMAForecaster, Forecaster,
                        HoltForecaster, NaiveForecaster, make_forecaster)
-from .qlearning import QLearner
 from .regression import RecursiveLeastSquares
 
 __all__ = [
-    "LearningAutomaton",
-    "BanditPolicy", "EpsilonGreedy", "ThompsonSampling", "UCB1",
-    "LinUCB",
+    "EpsilonGreedy",
     "DDM", "PageHinkley", "WindowDriftDetector",
-    "DriftRobustEnsemble",
     "ARForecaster", "EWMAForecaster", "Forecaster", "HoltForecaster",
     "NaiveForecaster", "make_forecaster",
-    "QLearner",
     "RecursiveLeastSquares",
 ]

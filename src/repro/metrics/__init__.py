@@ -1,20 +1,16 @@
 """Multi-objective evaluation metrics for the benchmark suite."""
 
-from .pareto import coverage, hypervolume, hypervolume_2d, hypervolume_mc, spread
+from .pareto import coverage, spread
 from .regret import (cumulative_regret, instantaneous_regret,
                      normalised_regret, regret_slope, total_regret)
-from .stats import (PairedComparison, Summary, compare_paired,
-                    improvement_factor, summarise)
 from .tradeoff import (AdaptationReport, adaptation_after, mean_utility,
                        phase_utilities, stability, tradeoff_summary,
                        violation_rate)
 
 __all__ = [
-    "coverage", "hypervolume", "hypervolume_2d", "hypervolume_mc", "spread",
+    "coverage", "spread",
     "cumulative_regret", "instantaneous_regret", "normalised_regret",
     "regret_slope", "total_regret",
-    "PairedComparison", "Summary", "compare_paired", "improvement_factor",
-    "summarise",
     "AdaptationReport", "adaptation_after", "mean_utility",
     "phase_utilities", "stability", "tradeoff_summary", "violation_rate",
 ]

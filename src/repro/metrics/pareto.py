@@ -1,4 +1,4 @@
-"""Pareto-quality metrics: hypervolume and front comparisons.
+"""Pareto-quality metrics: front coverage and spread.
 
 The multi-objective evaluation vocabulary of the benchmark suite.  All
 metrics assume **maximisation** of every component, with score vectors
@@ -8,76 +8,11 @@ guarantees), and a reference point at the origin unless stated.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.goals import dominates, pareto_front
-
-
-def hypervolume_2d(points: Sequence[Sequence[float]],
-                   reference: Sequence[float] = (0.0, 0.0)) -> float:
-    """Exact hypervolume for 2-objective maximisation.
-
-    Area dominated by the front of ``points`` and bounded below by
-    ``reference``.  Points not exceeding the reference contribute nothing.
-    """
-    ref_x, ref_y = reference
-    candidates = [(float(x), float(y)) for x, y in points
-                  if x > ref_x and y > ref_y]
-    if not candidates:
-        return 0.0
-    front_idx = pareto_front(candidates)
-    front = sorted((candidates[i] for i in front_idx), key=lambda p: p[0])
-    volume = 0.0
-    prev_x = ref_x
-    # Sweep in x; y decreases along a 2-D maximisation front.
-    for x, y in front:
-        volume += (x - prev_x) * (y - ref_y)
-        prev_x = x
-    return volume
-
-
-def hypervolume_mc(points: Sequence[Sequence[float]],
-                   reference: Optional[Sequence[float]] = None,
-                   bound: Optional[Sequence[float]] = None,
-                   samples: int = 20000,
-                   rng: Optional[np.random.Generator] = None) -> float:
-    """Monte-Carlo hypervolume for any number of objectives.
-
-    Estimates the dominated fraction of the box ``[reference, bound]``
-    scaled by the box volume.  Defaults: reference at the origin, bound at
-    the unit corner.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        return 0.0
-    dim = pts.shape[1]
-    ref = np.zeros(dim) if reference is None else np.asarray(reference, dtype=float)
-    top = np.ones(dim) if bound is None else np.asarray(bound, dtype=float)
-    if np.any(top <= ref):
-        raise ValueError("bound must exceed reference in every dimension")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    draws = rng.uniform(ref, top, size=(samples, dim))
-    # A draw is dominated when some point is >= it in every component.
-    dominated = np.zeros(samples, dtype=bool)
-    for p in pts:
-        dominated |= np.all(draws <= p, axis=1)
-    box = float(np.prod(top - ref))
-    return box * float(dominated.mean())
-
-
-def hypervolume(points: Sequence[Sequence[float]],
-                reference: Optional[Sequence[float]] = None,
-                **kwargs) -> float:
-    """Dispatch: exact in 2-D, Monte-Carlo otherwise."""
-    pts = [list(map(float, p)) for p in points]
-    if not pts:
-        return 0.0
-    if len(pts[0]) == 2:
-        ref = (0.0, 0.0) if reference is None else tuple(reference)
-        return hypervolume_2d(pts, ref)
-    return hypervolume_mc(pts, reference=reference, **kwargs)
 
 
 def coverage(front_a: Sequence[Sequence[float]],

@@ -33,7 +33,7 @@ from .export import (JsonlTraceWriter, TelemetrySession, cli_telemetry,
 from .metrics import (Counter, Gauge, MetricsRegistry, P2Quantile,
                       StreamingHistogram, counter, gauge, get_registry,
                       histogram, metric_key, set_registry)
-from .timers import PHASES, phase_timer
+from .timers import phase_timer
 
 __all__ = [
     "ESCAPE_PREFIX", "MAX_CAUSES", "RESERVED_KEYS",
@@ -44,5 +44,5 @@ __all__ = [
     "Counter", "Gauge", "MetricsRegistry", "P2Quantile",
     "StreamingHistogram", "counter", "gauge", "get_registry", "histogram",
     "metric_key", "set_registry",
-    "PHASES", "phase_timer",
+    "phase_timer",
 ]

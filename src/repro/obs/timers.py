@@ -21,14 +21,10 @@ loop instrumentation does exactly that.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from . import events as _events
 from . import metrics as _metrics
-
-#: Canonical phase names of one control step, in execution order.
-PHASES: Tuple[str, ...] = ("sense", "model", "reason", "act")
-
 
 class phase_timer:
     """Time one phase of a control step.
@@ -36,8 +32,9 @@ class phase_timer:
     Parameters
     ----------
     phase:
-        Phase name (conventionally one of :data:`PHASES`, but any string
-        works -- simulators time domain phases too).
+        Phase name (conventionally one of the control step's ``sense``,
+        ``model``, ``reason`` and ``act``, but any string works --
+        simulators time domain phases too).
     sink:
         Optional dict; on exit ``sink[phase] = duration_seconds``.
     record:

@@ -10,21 +10,19 @@ improve the network-wide tracking/communication trade-off.
 """
 
 from .controller import (CameraController, FixedStrategyController,
-                         RandomStrategyController,
                          SelfAwareStrategyController, strategy_entropy)
 from .market import AuctionOutcome, Bid, HandoverMarket
 from .network import Camera, CameraNetwork
 from .objects import MovingObject, ObjectPopulation
 from .sim import CameraSimResult, CameraSimulation, CameraStepRecord
-from .strategies import (ALL_STRATEGIES, Strategy, advertisement_targets,
-                         should_auction)
+from .strategies import ALL_STRATEGIES, Strategy
 
 __all__ = [
-    "CameraController", "FixedStrategyController", "RandomStrategyController",
+    "CameraController", "FixedStrategyController",
     "SelfAwareStrategyController", "strategy_entropy",
     "AuctionOutcome", "Bid", "HandoverMarket",
     "Camera", "CameraNetwork",
     "MovingObject", "ObjectPopulation",
     "CameraSimResult", "CameraSimulation", "CameraStepRecord",
-    "ALL_STRATEGIES", "Strategy", "advertisement_targets", "should_auction",
+    "ALL_STRATEGIES", "Strategy",
 ]

@@ -50,18 +50,6 @@ class FixedStrategyController(CameraController):
         return self.strategy
 
 
-class RandomStrategyController(CameraController):
-    """Noise baseline: a uniformly random strategy each step."""
-
-    def __init__(self, cam_id: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__(cam_id)
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def choose(self, t: float) -> Strategy:
-        return ALL_STRATEGIES[int(self._rng.integers(len(ALL_STRATEGIES)))]
-
-
 class SelfAwareStrategyController(CameraController):
     """Bandit learner over strategies, rewarded by the camera's own trade-off.
 

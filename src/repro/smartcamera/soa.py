@@ -74,7 +74,7 @@ class CameraColumns:
         self.row_of: Dict[int, int] = {cid: row
                                        for row, cid in enumerate(ids)}
         # Vision-graph neighbour rows per owner row, in the ascending-id
-        # order advertisement_targets() produces.
+        # order CameraNetwork.neighbours() returns.
         self.neighbour_rows: List = [
             np.asarray([self.row_of[nid]
                         for nid in network.neighbours(cid)],

@@ -20,9 +20,6 @@ experiment E2 reproduces exactly that design.
 from __future__ import annotations
 
 import enum
-from typing import List
-
-from .network import CameraNetwork
 
 
 class Strategy(enum.Enum):
@@ -46,22 +43,3 @@ class Strategy(enum.Enum):
 
 ALL_STRATEGIES = tuple(Strategy)
 
-
-def should_auction(strategy: Strategy, visibility: float,
-                   threshold: float = 0.3) -> bool:
-    """Whether a camera running ``strategy`` auctions an object now.
-
-    Active strategies always auction; passive ones only when their own
-    visibility of the object has fallen below ``threshold``.
-    """
-    if strategy.is_active:
-        return True
-    return visibility < threshold
-
-
-def advertisement_targets(strategy: Strategy, cam_id: int,
-                          network: CameraNetwork) -> List[int]:
-    """The cameras an advertisement is sent to under ``strategy``."""
-    if strategy.is_broadcast:
-        return [cid for cid in network.ids() if cid != cam_id]
-    return [cid for cid in network.neighbours(cam_id) if cid != cam_id]

@@ -1,8 +1,7 @@
 """Tests for the levels of computational self-awareness."""
 
 
-from repro.core.levels import (ALL_LEVELS, CapabilityProfile,
-                               SelfAwarenessLevel, ladder)
+from repro.core.levels import CapabilityProfile, SelfAwarenessLevel, ladder
 
 
 class TestSelfAwarenessLevel:
@@ -12,7 +11,7 @@ class TestSelfAwarenessLevel:
                 < SelfAwarenessLevel.META)
 
     def test_all_levels_enumerates_five(self):
-        assert len(ALL_LEVELS) == 5
+        assert len(SelfAwarenessLevel) == 5
 
     def test_neisser_names_cover_all_levels(self):
         for level in SelfAwarenessLevel:

@@ -8,7 +8,7 @@ from repro.core.goals import Constraint, Goal, Objective, dominates, pareto_fron
 from repro.core.knowledge import KnowledgeBase
 from repro.core.models import EmpiricalActionModel
 from repro.core.spans import private
-from repro.metrics.pareto import coverage, hypervolume_2d
+from repro.metrics.pareto import coverage
 
 metric_values = st.dictionaries(
     st.sampled_from(["a", "b", "c"]),
@@ -111,12 +111,6 @@ class TestKnowledgeProperties:
 
 
 class TestParetoMetricProperties:
-    @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
-                    min_size=1, max_size=12))
-    @settings(max_examples=40, deadline=None)
-    def test_hypervolume_bounded_by_unit_box(self, points):
-        assert 0.0 <= hypervolume_2d(points) <= 1.0 + 1e-9
-
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
                     min_size=1, max_size=8),
            st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),

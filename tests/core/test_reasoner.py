@@ -1,4 +1,4 @@
-"""Tests for reasoners: static, reactive, utility-based."""
+"""Tests for reasoners: static and utility-based."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.goals import Constraint, Goal, Objective
 from repro.core.models import EmpiricalActionModel
-from repro.core.reasoner import (ReactiveRulePolicy, Rule, StaticPolicy,
-                                 UtilityReasoner)
+from repro.core.reasoner import StaticPolicy, UtilityReasoner
 
 
 @pytest.fixture
@@ -31,38 +30,6 @@ class TestStaticPolicy:
     def test_empty_actions_rejected(self):
         with pytest.raises(ValueError):
             StaticPolicy("a").decide(0.0, {}, [])
-
-
-class TestReactiveRulePolicy:
-    def test_first_matching_rule_wins(self):
-        p = ReactiveRulePolicy(
-            rules=[Rule("load", ">", 0.8, "scale_up"),
-                   Rule("load", "<", 0.2, "scale_down")],
-            default="hold")
-        assert p.decide(0.0, {"load": 0.9}, ["scale_up", "scale_down", "hold"]).action == "scale_up"
-        assert p.decide(0.0, {"load": 0.1}, ["scale_up", "scale_down", "hold"]).action == "scale_down"
-        assert p.decide(0.0, {"load": 0.5}, ["scale_up", "scale_down", "hold"]).action == "hold"
-
-    def test_missing_metric_does_not_fire(self):
-        p = ReactiveRulePolicy([Rule("load", ">", 0.8, "up")], default="hold")
-        assert p.decide(0.0, {}, ["up", "hold"]).action == "hold"
-
-    def test_nan_metric_does_not_fire(self):
-        p = ReactiveRulePolicy([Rule("load", ">", 0.8, "up")], default="hold")
-        assert p.decide(0.0, {"load": math.nan}, ["up", "hold"]).action == "hold"
-
-    def test_rule_action_must_be_available(self):
-        p = ReactiveRulePolicy([Rule("load", ">", 0.8, "up")], default="hold")
-        assert p.decide(0.0, {"load": 0.9}, ["hold"]).action == "hold"
-
-    def test_invalid_op_rejected(self):
-        with pytest.raises(ValueError):
-            Rule("x", ">=", 1.0, "a")
-
-    def test_reason_mentions_rule(self):
-        p = ReactiveRulePolicy([Rule("load", ">", 0.8, "up")], default="hold")
-        d = p.decide(0.0, {"load": 0.9}, ["up", "hold"])
-        assert "load" in d.reason
 
 
 class TestUtilityReasoner:

@@ -9,8 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.envgen.processes import (BoundedRandomWalk, MarkovModulatedProcess,
-                                    RegimeSequence, SeasonalProcess, Shock,
-                                    ShockSchedule)
+                                    SeasonalProcess, Shock, ShockSchedule)
 
 
 class TestBoundedRandomWalk:
@@ -164,23 +163,3 @@ class TestMarkovModulatedProcess:
         values = [p.step() for _ in range(20000)]
         # Stationary P(high) = 0.1 / (0.1 + 0.3) = 0.25.
         assert np.mean(values) == pytest.approx(0.25, abs=0.03)
-
-
-class TestRegimeSequence:
-    def test_piecewise_lookup(self):
-        seq = RegimeSequence([(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)])
-        assert seq.value(5.0) == 1.0
-        assert seq.value(10.0) == 2.0
-        assert seq.value(25.0) == 3.0
-
-    def test_before_first_breakpoint_uses_first_value(self):
-        seq = RegimeSequence([(10.0, 5.0)])
-        assert seq.value(0.0) == 5.0
-
-    def test_change_times(self):
-        seq = RegimeSequence([(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)])
-        assert seq.change_times() == [10.0, 20.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RegimeSequence([])

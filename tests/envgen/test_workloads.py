@@ -114,21 +114,3 @@ class TestDriftGenerators:
         mean = bandit.means()[0]
         rewards = [bandit.pull(0) for _ in range(100)]
         assert np.mean(rewards) == pytest.approx(mean, abs=0.01)
-
-    def test_drifting_regression_weights_change(self):
-        from repro.envgen.driftgen import DriftingRegression
-        gen = DriftingRegression(n_features=3, drift_every=50,
-                                 rng=np.random.default_rng(3))
-        w0 = gen.weights
-        for _ in range(60):
-            gen.sample()
-        assert not np.allclose(w0, gen.weights)
-        assert gen.drifts == 1
-
-    def test_drifting_regression_sample_consistent(self):
-        from repro.envgen.driftgen import DriftingRegression
-        gen = DriftingRegression(n_features=2, drift_every=10**6,
-                                 noise_std=0.0, rng=np.random.default_rng(4))
-        w = gen.weights
-        x, y = gen.sample()
-        assert y == pytest.approx(float(w @ x))

@@ -69,6 +69,18 @@ class TestDeterminismAcrossJobs:
         assert events1 == events2
 
 
+class TestProvenanceNote:
+    def test_wall_note_without_telemetry(self):
+        notes = run_suite(_small_jobs()[:1], n_jobs=1).tables[0].notes
+        assert "wall " in notes
+        assert "steps/s" not in notes
+
+    def test_telemetry_adds_step_rate(self):
+        with TelemetrySession() as session:
+            report = run_suite(_small_jobs()[:1], n_jobs=1, telemetry=session)
+        assert "steps/s [telemetry]" in report.tables[0].notes
+
+
 class TestShardCache:
     def test_warm_cache_executes_zero_shards(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -6,9 +6,7 @@ import pytest
 
 from repro.experiments.harness import (ExperimentTable, _format_cell,
                                        format_table, print_tables,
-                                       run_with_provenance, to_markdown,
-                                       write_markdown_report)
-from repro.obs import TelemetrySession
+                                       to_markdown, write_markdown_report)
 
 
 @pytest.fixture
@@ -133,58 +131,6 @@ class TestFormatCell:
     def test_ints_and_strings_pass_through(self):
         assert _format_cell(123456) == "123456"
         assert _format_cell("label") == "label"
-
-
-class TestRunWithProvenance:
-    def _table(self):
-        t = ExperimentTable("EX", "demo", columns=["v"])
-        t.add_row(v=1.0)
-        return t
-
-    def test_wall_clock_note_without_telemetry(self):
-        result = run_with_provenance(lambda: self._table())
-        assert "wall " in result.notes
-        assert "steps" not in result.notes
-
-    def test_existing_notes_preserved(self):
-        def job():
-            t = self._table()
-            t.notes = "original"
-            return t
-        result = run_with_provenance(job)
-        assert result.notes.startswith("original; wall ")
-
-    def test_list_of_tables_all_stamped(self):
-        result = run_with_provenance(lambda: [self._table(), self._table()])
-        assert all("wall " in t.notes for t in result)
-
-    def test_telemetry_adds_step_rate(self):
-        def job():
-            from repro.obs import get_registry
-            get_registry().counter("steps", sim="fake").increment(500)
-            return self._table()
-        session = TelemetrySession()
-        result = run_with_provenance(job, telemetry=session)
-        assert "500 steps" in result.notes
-        assert "steps/s [telemetry]" in result.notes
-
-    def test_telemetry_counts_only_this_run(self):
-        session = TelemetrySession()
-        with session:
-            session.registry.counter("steps", sim="earlier").increment(100)
-            def job():
-                session.registry.counter("steps", sim="now").increment(50)
-                return self._table()
-            result = run_with_provenance(job, telemetry=session)
-        assert "50 steps" in result.notes
-
-    def test_kwargs_forwarded(self):
-        def job(v):
-            t = ExperimentTable("EX", "demo", columns=["v"])
-            t.add_row(v=v)
-            return t
-        result = run_with_provenance(job, v=42.0)
-        assert result.rows[0]["v"] == 42.0
 
 
 class TestFormatting:

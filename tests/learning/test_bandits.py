@@ -1,9 +1,9 @@
-"""Tests for bandit policies."""
+"""Tests for the ε-greedy bandit policy."""
 
 import numpy as np
 import pytest
 
-from repro.learning.bandits import EpsilonGreedy, ThompsonSampling, UCB1
+from repro.learning.bandits import EpsilonGreedy
 
 
 def run_bandit(policy, means, steps, rng):
@@ -61,58 +61,3 @@ class TestEpsilonGreedy:
             EpsilonGreedy(2, epsilon=-0.1)
         with pytest.raises(ValueError):
             EpsilonGreedy(2, discount=0.0)
-
-
-class TestUCB1:
-    def test_finds_best_arm(self):
-        rng = np.random.default_rng(4)
-        policy = UCB1(3)
-        counts = run_bandit(policy, MEANS, 1000, rng)
-        assert counts[1] > 600
-
-    def test_pulls_every_arm_once_first(self):
-        policy = UCB1(4)
-        seen = []
-        for _ in range(4):
-            arm = policy.select()
-            seen.append(arm)
-            policy.update(arm, 0.0)
-        assert sorted(seen) == [0, 1, 2, 3]
-
-    def test_exploration_bonus_shrinks(self):
-        policy = UCB1(2)
-        for arm in (0, 1):
-            policy.update(arm, 0.5)
-        # Pull arm 0 a lot: bonus for arm 1 eventually dominates.
-        for _ in range(200):
-            policy.update(0, 0.5)
-        assert policy.select() == 1
-
-
-class TestThompsonSampling:
-    def test_finds_best_arm(self):
-        rng = np.random.default_rng(5)
-        policy = ThompsonSampling(3, rng=np.random.default_rng(6))
-        counts = run_bandit(policy, MEANS, 1000, rng)
-        assert counts[1] > 600
-
-    def test_posterior_mean_converges(self):
-        policy = ThompsonSampling(1, noise_var=0.01,
-                                  rng=np.random.default_rng(0))
-        for _ in range(100):
-            policy.update(0, 0.7)
-        assert policy.value(0) == pytest.approx(0.7, abs=0.05)
-
-    def test_forgetting_keeps_variance_alive(self):
-        policy = ThompsonSampling(1, forgetting=0.9, prior_var=1.0,
-                                  rng=np.random.default_rng(0))
-        for _ in range(500):
-            policy.update(0, 0.5)
-        # With forgetting, posterior variance stays bounded away from zero.
-        assert policy._var[0] > 1e-4
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            ThompsonSampling(2, prior_var=0.0)
-        with pytest.raises(ValueError):
-            ThompsonSampling(2, forgetting=1.5)

@@ -1,71 +1,6 @@
 """Tests for Pareto metrics."""
 
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.metrics.pareto import (coverage, hypervolume, hypervolume_2d,
-                                  hypervolume_mc, spread)
-
-
-class TestHypervolume2D:
-    def test_single_point(self):
-        assert hypervolume_2d([(0.5, 0.5)]) == pytest.approx(0.25)
-
-    def test_dominated_point_adds_nothing(self):
-        hv1 = hypervolume_2d([(0.5, 0.5)])
-        hv2 = hypervolume_2d([(0.5, 0.5), (0.3, 0.3)])
-        assert hv1 == pytest.approx(hv2)
-
-    def test_two_nondominated_points(self):
-        hv = hypervolume_2d([(1.0, 0.5), (0.5, 1.0)])
-        # 0.5*1.0 + 0.5*0.5 = 0.75
-        assert hv == pytest.approx(0.75)
-
-    def test_empty_and_below_reference(self):
-        assert hypervolume_2d([]) == 0.0
-        assert hypervolume_2d([(0.2, 0.2)], reference=(0.5, 0.5)) == 0.0
-
-    def test_unit_corner_fills_box(self):
-        assert hypervolume_2d([(1.0, 1.0)]) == pytest.approx(1.0)
-
-    @given(st.lists(st.tuples(st.floats(0.01, 1), st.floats(0.01, 1)),
-                    min_size=1, max_size=15))
-    @settings(max_examples=40, deadline=None)
-    def test_monotone_in_points(self, pts):
-        # Adding a point never decreases hypervolume.
-        base = hypervolume_2d(pts[:-1]) if len(pts) > 1 else 0.0
-        assert hypervolume_2d(pts) >= base - 1e-12
-
-
-class TestHypervolumeMC:
-    def test_agrees_with_exact_2d(self):
-        pts = [(0.9, 0.3), (0.5, 0.7), (0.2, 0.95)]
-        exact = hypervolume_2d(pts)
-        mc = hypervolume_mc(pts, samples=50000, rng=np.random.default_rng(0))
-        assert mc == pytest.approx(exact, abs=0.02)
-
-    def test_three_objectives(self):
-        hv = hypervolume_mc([(1.0, 1.0, 1.0)], samples=5000,
-                            rng=np.random.default_rng(1))
-        assert hv == pytest.approx(1.0)
-
-    def test_empty(self):
-        assert hypervolume_mc([]) == 0.0
-
-    def test_invalid_box(self):
-        with pytest.raises(ValueError):
-            hypervolume_mc([(0.5, 0.5)], reference=(1.0, 1.0), bound=(0.5, 0.5))
-
-
-class TestDispatch:
-    def test_dispatches_2d_exact(self):
-        assert hypervolume([(0.5, 0.5)]) == pytest.approx(0.25)
-
-    def test_dispatches_nd_mc(self):
-        hv = hypervolume([(0.5, 0.5, 0.5)], samples=20000)
-        assert hv == pytest.approx(0.125, abs=0.01)
+from repro.metrics.pareto import coverage, spread
 
 
 class TestCoverage:

@@ -1,7 +1,5 @@
 """Tests for trade-off management quality metrics."""
 
-import math
-
 import pytest
 
 from repro.core.goals import Constraint, Goal, Objective
@@ -94,45 +92,3 @@ class TestTradeoffSummary:
         assert "worst_phase_utility" in summary
         assert "mean_recovery_time" in summary
         assert summary["recovered_fraction"] == 1.0
-
-
-class TestStats:
-    def test_summarise_basic(self):
-        from repro.metrics.stats import summarise
-        s = summarise([1.0, 2.0, 3.0])
-        assert s.mean == pytest.approx(2.0)
-        assert s.lo <= s.mean <= s.hi
-        assert s.n == 3
-
-    def test_summarise_drops_nans(self):
-        from repro.metrics.stats import summarise
-        s = summarise([1.0, math.nan, 3.0])
-        assert s.n == 2
-
-    def test_summarise_empty(self):
-        from repro.metrics.stats import summarise
-        s = summarise([])
-        assert math.isnan(s.mean) and s.n == 0
-
-    def test_summarise_singleton(self):
-        from repro.metrics.stats import summarise
-        s = summarise([5.0])
-        assert s.mean == s.lo == s.hi == 5.0
-
-    def test_compare_paired(self):
-        from repro.metrics.stats import compare_paired
-        c = compare_paired([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
-        assert c.treatment_wins
-        assert c.win_rate == 1.0
-        assert c.mean_diff == pytest.approx(0.5)
-
-    def test_compare_paired_length_mismatch(self):
-        from repro.metrics.stats import compare_paired
-        with pytest.raises(ValueError):
-            compare_paired([1.0], [1.0, 2.0])
-
-    def test_improvement_factor(self):
-        from repro.metrics.stats import improvement_factor
-        assert improvement_factor(2.0, 1.0) == 2.0
-        assert improvement_factor(1.0, 0.0) == math.inf
-        assert math.isnan(improvement_factor(math.nan, 1.0))

@@ -3,7 +3,7 @@
 import time
 
 from repro.obs import TelemetrySession
-from repro.obs.timers import PHASES, phase_timer
+from repro.obs.timers import phase_timer
 
 
 class TestPhaseTimer:
@@ -46,6 +46,3 @@ class TestPhaseTimer:
                 pass
         assert session.snapshot()["histograms"] == {}
         assert "sense" in sink
-
-    def test_canonical_phases(self):
-        assert PHASES == ("sense", "model", "reason", "act")

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.smartcamera.market import Bid, HandoverMarket
-from repro.smartcamera.network import CameraNetwork
-from repro.smartcamera.strategies import (ALL_STRATEGIES, Strategy,
-                                          advertisement_targets,
-                                          should_auction)
+from repro.smartcamera.strategies import ALL_STRATEGIES
 
 
 class TestHandoverMarket:
@@ -64,22 +61,3 @@ class TestStrategies:
         actives = [s for s in ALL_STRATEGIES if s.is_active]
         broadcasts = [s for s in ALL_STRATEGIES if s.is_broadcast]
         assert len(actives) == 2 and len(broadcasts) == 2
-
-    def test_active_always_auctions(self):
-        assert should_auction(Strategy.ACTIVE_BROADCAST, visibility=0.99)
-        assert should_auction(Strategy.ACTIVE_SMOOTH, visibility=0.99)
-
-    def test_passive_auctions_only_below_threshold(self):
-        assert not should_auction(Strategy.PASSIVE_SMOOTH, 0.9, threshold=0.3)
-        assert should_auction(Strategy.PASSIVE_SMOOTH, 0.1, threshold=0.3)
-
-    def test_broadcast_targets_everyone(self):
-        net = CameraNetwork.grid(2, 2, radius=0.2)
-        targets = advertisement_targets(Strategy.ACTIVE_BROADCAST, 0, net)
-        assert sorted(targets) == [1, 2, 3]
-
-    def test_smooth_targets_vision_neighbours(self):
-        net = CameraNetwork.grid(1, 3, radius=0.2)  # chain: 0-1-2
-        targets = advertisement_targets(Strategy.PASSIVE_SMOOTH, 0, net)
-        assert 0 not in targets
-        assert set(targets) <= set(net.neighbours(0))

@@ -8,26 +8,25 @@ from repro.core import (CapabilityProfile, Goal, Objective, Sensor,
                         build_static_node, private, run_control_loop)
 from repro.core.levels import SelfAwarenessLevel
 from repro.core.meta import MetaReasoner
-from repro.envgen.processes import RegimeSequence
 
 
 class SwitchingWorld:
     """Best action flips with a scheduled regime; sensors see the regime."""
 
     def __init__(self, change_at=150.0, noise=0.02, seed=0):
-        self.regimes = RegimeSequence([(0.0, 0.0), (change_at, 1.0)])
+        self.change_at = change_at
         self._rng = np.random.default_rng(seed)
         self._now = 0.0
 
     def regime(self):
-        return self.regimes.value(self._now)
+        return 1.0 if self._now >= self.change_at else 0.0
 
     def candidate_actions(self, now):
         return ["alpha", "beta"]
 
     def apply(self, action, now):
         self._now = now
-        regime = self.regimes.value(now)
+        regime = self.regime()
         if action == "alpha":
             perf = 0.9 - 0.8 * regime
         else:
